@@ -192,6 +192,24 @@ def _row_cells(row: dict, columns) -> list[str]:
     return [format_value(row[name]) for name in columns]
 
 
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _json_line(record: dict) -> str:
+    """One JSON object; inf and nan, which JSON lacks, as their CSV cell text."""
+    try:
+        return _STRICT_JSON.encode(record)
+    except ValueError:
+        return _STRICT_JSON.encode(
+            {
+                name: format_value(value)
+                if isinstance(value, float) and not math.isfinite(value)
+                else value
+                for name, value in record.items()
+            }
+        )
+
+
 def write_rows(path, columns, rows: list[dict], output_format: str) -> None:
     if output_format == "csv":
         with open(path, "w", encoding="ascii", newline="") as fh:
@@ -202,7 +220,7 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> None:
     elif output_format == "json-lines":
         with open(path, "w", encoding="ascii") as fh:
             for row in rows:
-                fh.write(json.dumps({name: row[name] for name in columns}))
+                fh.write(_json_line({name: row[name] for name in columns}))
                 fh.write("\n")
     else:
         raise ValueError(f"unknown output format {output_format!r}")

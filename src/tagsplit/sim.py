@@ -11,6 +11,15 @@ costs, never the decision itself.
 Empty ways take part in the step-1 comparison like any other way (the
 hardware reads all prefix columns in parallel, so step 1 always costs
 k bits per way) but they can neither survive to step 2 nor hit.
+
+``CacheState.access`` looks up one address at a time and is the
+reference.  ``run_trace`` and ``trace_outcomes`` give the same results
+set-parallel: sets are independent, so round r applies the r-th access
+of every set at once as numpy operations on the (sets, ways) arrays.
+Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
+those are finished one access at a time, so a trace that concentrates
+on a few hot sets costs about one scalar step per access of the hot
+sets instead of one numpy round each.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ __all__ = [
     "baseline_outcomes",
     "invariance_check",
 ]
+
+# Below this many active sets a numpy round costs more than finishing the
+# remaining accesses of those sets one by one (8 to 128 perform alike).
+_SCALAR_TAIL_SETS = 32
 
 
 @dataclass
@@ -91,11 +104,14 @@ class SimStats:
 class CacheState:
     """Tag array contents of one cache plus its splitting point.
 
-    Each set holds per-way (valid, tag) entries and an LRU ordering;
-    rank 0 is the least recently used way of the set.
+    Each way holds a tag and an LRU age stamp; the larger stamp is the
+    more recent.  Empty ways carry negative stamps, so they are the
+    least recently used and fill in way order before any eviction.
+    Tags are uint64 when addresses fit in 64 bits and Python ints
+    (object arrays) otherwise.
     """
 
-    def __init__(self, config: CacheConfig, k: int, debug: bool = False):
+    def __init__(self, config: CacheConfig, k: int):
         geometry = derive_geometry(config)
         if k != int(k) or not 0 <= int(k) <= geometry.tag_bits:
             raise ValueError(
@@ -104,32 +120,29 @@ class CacheState:
         self.config = config
         self.geometry = geometry
         self.k = int(k)
-        self.debug = debug
         self._ways = config.associativity
         self._offset_bits = geometry.offset_bits
         self._index_bits = geometry.index_bits
         self._index_mask = geometry.sets - 1
         self._prefix_mask = (1 << self.k) - 1
         self._address_bits = config.address_bits
-        self._tags = [[0] * self._ways for _ in range(geometry.sets)]
-        self._valid = [[False] * self._ways for _ in range(geometry.sets)]
-        # way indices ordered least-recent first; empty ways start at the
-        # front so fills consume them before any eviction
-        self._order = [list(range(self._ways)) for _ in range(geometry.sets)]
+        self._dtype = np.dtype(np.uint64 if config.address_bits <= 64 else object)
+        shape = (geometry.sets, self._ways)
+        self._tags = np.zeros(shape, dtype=self._dtype)
+        self._ages = np.broadcast_to(np.arange(-self._ways, 0, dtype=np.int64), shape).copy()
+        self._clock = 0  # stamp of the next access
 
     def lru_ranks(self, set_index: int) -> list[int]:
         """Rank of each way (0 = least recently used); a permutation."""
-        ranks = [0] * self._ways
-        for rank, way in enumerate(self._order[set_index]):
-            ranks[way] = rank
-        return ranks
+        return np.argsort(np.argsort(self._ages[set_index])).tolist()
 
     def contents(self, set_index: int) -> list[tuple[bool, int, int]]:
         """Per-way (valid, tag, lru_rank) view of one set."""
-        ranks = self.lru_ranks(set_index)
+        ages = self._ages[set_index].tolist()
+        tags = self._tags[set_index].tolist()
         return [
-            (self._valid[set_index][w], self._tags[set_index][w], ranks[w])
-            for w in range(self._ways)
+            (age >= 0, tag, rank)
+            for age, tag, rank in zip(ages, tags, self.lru_ranks(set_index))
         ]
 
     def access(self, address: int, stats: SimStats) -> bool:
@@ -143,34 +156,25 @@ class CacheState:
         set_index = block & self._index_mask
         tag = block >> self._index_bits
         prefix = tag & self._prefix_mask
-        tags = self._tags[set_index]
-        valid = self._valid[set_index]
+        tags = self._tags[set_index].tolist()
+        ages = self._ages[set_index].tolist()
         prefix_mask = self._prefix_mask
         survivors = 0
         hit_way = -1
         for way in range(self._ways):
-            if valid[way] and (tags[way] & prefix_mask) == prefix:
+            if ages[way] >= 0 and (tags[way] & prefix_mask) == prefix:
                 survivors += 1
                 if tags[way] == tag:
                     hit_way = way
-        if self.debug:
-            one_step = any(v and t == tag for v, t in zip(valid, tags))
-            if one_step != (hit_way >= 0):
-                raise AssertionError(
-                    f"two-step outcome diverged from single-step comparison at "
-                    f"address {address:#x}"
-                )
-        order = self._order[set_index]
         if hit_way >= 0:
             stats.hits += 1
-            order.remove(hit_way)
-            order.append(hit_way)
+            way = hit_way
         else:
             stats.misses += 1
-            victim = order.pop(0)
-            tags[victim] = tag
-            valid[victim] = True
-            order.append(victim)
+            way = ages.index(min(ages))
+            self._tags[set_index, way] = tag
+        self._ages[set_index, way] = self._clock
+        self._clock += 1
         stats.accesses += 1
         stats.step1_bit_reads += self.k * self._ways
         stats.step2_bit_reads += survivors * (self.geometry.tag_bits - self.k)
@@ -179,49 +183,182 @@ class CacheState:
         return hit_way >= 0
 
 
-def _as_int_list(trace) -> list[int]:
-    if isinstance(trace, np.ndarray):
-        return trace.tolist()
-    return [int(a) for a in trace]
+def _addresses(state: CacheState, trace) -> np.ndarray:
+    """The trace as a 1-D array of the state's tag dtype.
+
+    Every address is checked against the address space before the caller
+    touches the state, so a rejected trace leaves the cache as it was.
+    """
+    if not (isinstance(trace, np.ndarray) and trace.dtype.kind in "iu"):
+        trace = np.array([int(a) for a in trace], dtype=object)
+    if trace.size == 0:
+        raise ValueError("cannot simulate an empty trace")
+    bits = state._address_bits
+    if int(trace.min()) < 0 or int(trace.max()) >> bits:
+        bad = next(a for a in trace.tolist() if a < 0 or a >> bits)
+        raise ValueError(f"address {bad:#x} outside the {bits}-bit space")
+    return trace.astype(state._dtype, copy=False)
+
+
+def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
+    """Run the trace set-parallel; the counters and, if asked, per-access hits.
+
+    The accesses are reordered by round: the r-th access of every set
+    goes to round r, and within a round the sets are rows ordered by
+    access count, busiest first, so the sets active in round r are a
+    prefix of the rows and every round works on array views.
+    """
+    addresses = _addresses(state, trace)
+    geometry = state.geometry
+    ways, accesses = state.config.associativity, addresses.size
+
+    block = addresses >> geometry.offset_bits
+    set_of = (block & (geometry.sets - 1)).astype(np.min_scalar_type(geometry.sets - 1))
+    requests = block >> geometry.index_bits
+    del block
+    counts = np.bincount(set_of, minlength=geometry.sets)
+    by_set = np.argsort(set_of, kind="stable")
+    rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    row_of = np.empty(geometry.sets, dtype=np.intp)
+    row_of[rows] = np.arange(rows.size)
+    # active[r]: sets with more than r accesses, i.e. the rows of round r
+    active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+    start = np.zeros(active.size, dtype=np.intp)
+    np.cumsum(active[:-1], out=start[1:])
+
+    set_of = set_of[by_set]
+    slot = np.arange(accesses)
+    slot -= (np.cumsum(counts) - counts)[set_of]  # occurrence of the access in its set
+    slot = start[slot]
+    slot += row_of[set_of]
+    del set_of, row_of, counts
+    order = np.empty(accesses, dtype=np.intp)  # order[slot] = position in the trace
+    order[slot] = by_set
+    del slot, by_set
+    request = requests[order]
+    del requests
+    if not want_outcomes:
+        del order
+
+    tags = state._tags[rows]
+    ages = state._ages[rows]
+    hit = np.empty(accesses, dtype=bool)
+    survivors = np.empty(accesses, dtype=np.min_scalar_type(ways))
+    prefix_mask = state._prefix_mask
+    clock = state._clock
+    row_index = np.arange(rows.size)
+    rounds = active.size
+    r = 0
+    while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
+        lo, hi = start[r], start[r] + active[r]
+        t, a, q = tags[: active[r]], ages[: active[r]], request[lo:hi]
+        valid = a >= 0
+        diff = t ^ q[:, None]
+        match = valid & ((diff & prefix_mask) == 0)
+        same = valid & (diff == 0)
+        hit_row = same.any(axis=1)
+        hit[lo:hi] = hit_row
+        survivors[lo:hi] = match.sum(axis=1)
+        way = np.where(hit_row, same.argmax(axis=1), a.argmin(axis=1))
+        here = row_index[: active[r]]
+        t[here, way] = q
+        a[here, way] = clock + r
+        r += 1
+    if r < rounds:
+        lo = start[r]
+        _scalar_tail(tags, ages, request[lo:], hit[lo:], survivors[lo:], active[r:].tolist(),
+                     clock + r, prefix_mask)
+
+    state._tags[rows] = tags
+    state._ages[rows] = ages
+    state._clock = clock + rounds
+    histogram = np.bincount(survivors, minlength=ways + 1).tolist()
+    hits = int(np.count_nonzero(hit))
+    tag_bits = geometry.tag_bits
+    stats = SimStats(
+        ways=ways,
+        accesses=accesses,
+        hits=hits,
+        misses=accesses - hits,
+        step1_bit_reads=accesses * state.k * ways,
+        step2_bit_reads=(tag_bits - state.k) * sum(s * c for s, c in enumerate(histogram)),
+        baseline_bit_reads=accesses * tag_bits * ways,
+        matched_way_histogram=histogram,
+    )
+    if not want_outcomes:
+        return stats, None
+    outcomes = np.empty(accesses, dtype=bool)
+    outcomes[order] = hit
+    return stats, outcomes.tolist()
+
+
+def _scalar_tail(tags, ages, request, hit, survivors, active, first_stamp, prefix_mask) -> None:
+    """Finish the last rounds one access at a time on list rows.
+
+    ``active`` counts the rows of each remaining round, and ``request``,
+    ``hit`` and ``survivors`` start at the first of them.  Empty ways
+    hold None in place of a tag and a prefix, so list.count and ``in``
+    compare only valid ways.
+    """
+    rows = active[0]
+    age_rows = ages[:rows].tolist()
+    tag_rows = [
+        [tag if age >= 0 else None for tag, age in zip(row_tags, row_ages)]
+        for row_tags, row_ages in zip(tags[:rows].tolist(), age_rows)
+    ]
+    prefix_rows = [[None if t is None else t & prefix_mask for t in row] for row in tag_rows]
+    hits, counts = [], []
+    pending = iter(request.tolist())
+    for stamp, round_rows in enumerate(active, start=first_stamp):
+        for row in range(round_rows):
+            req = next(pending)
+            prefix = req & prefix_mask
+            row_tags, row_ages = tag_rows[row], age_rows[row]
+            counts.append(prefix_rows[row].count(prefix))
+            if req in row_tags:
+                hits.append(True)
+                way = row_tags.index(req)
+            else:
+                hits.append(False)
+                way = row_ages.index(min(row_ages))
+                row_tags[way] = req
+                prefix_rows[row][way] = prefix
+            row_ages[way] = stamp
+    hit[:] = hits
+    survivors[:] = counts
+    tags[:rows] = [[0 if t is None else t for t in row] for row in tag_rows]
+    ages[:rows] = age_rows
 
 
 def run_trace(state: CacheState, trace) -> SimStats:
-    """Fold every address of the trace through state.access."""
-    addresses = _as_int_list(trace)
-    if not addresses:
-        raise ValueError("cannot simulate an empty trace")
-    stats = SimStats(ways=state.config.associativity)
-    access = state.access
-    for address in addresses:
-        access(address, stats)
-    return stats
+    """Counters of the trace, as folding each address through state.access."""
+    return _fold(state, trace, want_outcomes=False)[0]
 
 
 def trace_outcomes(state: CacheState, trace) -> list[bool]:
     """Per-access hit/miss sequence (True on hit) for the trace."""
-    addresses = _as_int_list(trace)
-    if not addresses:
-        raise ValueError("cannot simulate an empty trace")
-    stats = SimStats(ways=state.config.associativity)
-    access = state.access
-    return [access(address, stats) for address in addresses]
+    return _fold(state, trace, want_outcomes=True)[1]
 
 
 def warm_fill(state: CacheState) -> None:
     """Fill the cache deterministically so every way holds a valid tag.
 
-    Walks sets*ways distinct blocks (tag t into set s for each pair),
-    which fills the whole array when the tag space has at least as many
-    values as there are ways.  Statistics of the warm-up accesses are
-    discarded.
+    Has the effect of walking sets*ways distinct blocks (tag t into set
+    s for each pair), which fills the whole array when the tag space has
+    at least as many values as there are ways.  Statistics of the
+    warm-up accesses are discarded.  On a cold cache tag t lands in way
+    t of every set, in LRU order, so that state is written directly.
     """
     geometry = state.geometry
-    scratch = SimStats(ways=state.config.associativity)
     distinct_tags = min(state.config.associativity, 1 << geometry.tag_bits)
-    for tag in range(distinct_tags):
-        for set_index in range(geometry.sets):
-            address = ((tag << geometry.index_bits) | set_index) << geometry.offset_bits
-            state.access(address, scratch)
+    if (state._ages < 0).all():
+        state._tags[:, :distinct_tags] = np.arange(distinct_tags)
+        state._ages[:, :distinct_tags] = state._clock + np.arange(distinct_tags)
+        state._clock += distinct_tags
+        return
+    tag = np.repeat(np.arange(distinct_tags), geometry.sets).astype(state._dtype)
+    set_index = np.tile(np.arange(geometry.sets), distinct_tags).astype(state._dtype)
+    _fold(state, ((tag << geometry.index_bits) | set_index) << geometry.offset_bits, False)
 
 
 def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
@@ -238,7 +375,8 @@ def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
     index_mask = geometry.sets - 1
     resident: list[list[int]] = [[] for _ in range(geometry.sets)]
     outcomes = []
-    for address in _as_int_list(trace):
+    addresses = trace.tolist() if isinstance(trace, np.ndarray) else map(int, trace)
+    for address in addresses:
         block = address >> offset_bits
         line = resident[block & index_mask]
         tag = block >> index_bits
@@ -259,10 +397,10 @@ def invariance_check(config: CacheConfig, trace, k_values) -> bool:
     per-access hit/miss sequence (not just the totals) against the
     single-step reference.
     """
-    addresses = _as_int_list(trace)
-    reference = baseline_outcomes(config, addresses)
+    if not isinstance(trace, np.ndarray):
+        trace = [int(a) for a in trace]
+    reference = baseline_outcomes(config, trace)
     for k in k_values:
-        state = CacheState(config, k)
-        if trace_outcomes(state, addresses) != reference:
+        if trace_outcomes(CacheState(config, k), trace) != reference:
             return False
     return True

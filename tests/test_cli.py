@@ -42,6 +42,11 @@ def report_dict(output: str) -> dict:
     return result
 
 
+def reject_constant(name: str):
+    """parse_constant hook for json.loads: Infinity and NaN are not JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def params_file(tmp_path) -> str:
     path = tmp_path / "params.json"
     path.write_text(json.dumps(PARAMS))
@@ -92,6 +97,14 @@ class TestParsers:
         assert format_value(42) == "42"
         assert format_value(0.5) == "0.5"
         assert format_value(1 / 3) == format(1 / 3, ".17g")
+
+    def test_json_lines_write_non_finite_floats_as_csv_text(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        cells = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": 0.5}
+        write_rows(out, tuple(cells), [cells], "json-lines")
+        row = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert row == {"a": "inf", "b": "-inf", "c": "nan", "d": 0.5}
+        assert [row[name] for name in "abc"] == [format_value(cells[name]) for name in "abc"]
 
     def test_write_rows_rejects_unknown_formats(self, tmp_path):
         with pytest.raises(ValueError, match="output format"):
@@ -343,6 +356,21 @@ class TestSimulate:
         assert float(cells["energy_ratio"]) * float(cells["mttf_ratio"]) == pytest.approx(
             1.0, abs=1e-9
         )
+
+    def test_json_lines_row_is_valid_json_without_read_disturbance(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(PARAMS, p_read_disturb=0.0)))
+        out = tmp_path / "sim.jsonl"
+        code = main(
+            ["simulate", *self.CONFIG, "--k", "4", "--gen", "uniform",
+             "--length", "1000", "--params", str(params), "--format", "json-lines",
+             "--out", str(out)]
+        )
+        assert code == 0
+        row = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert tuple(row) == SIM_COLUMNS
+        assert row["mttf_seconds"] == "inf"
+        assert row["accesses"] == 1000
 
     def test_trace_and_gen_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,8 +1,13 @@
 """Trace-driven simulator: LRU mechanics, counters, and invariance."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tagsplit import sim
 from tagsplit.model import CacheConfig, derive_geometry, expected_reads
 from tagsplit.sim import (
     CacheState,
@@ -13,7 +18,7 @@ from tagsplit.sim import (
     trace_outcomes,
     warm_fill,
 )
-from tagsplit.traces import uniform_trace
+from tagsplit.traces import TRACE_KINDS, stride_trace, uniform_trace, zipf_block_trace
 
 # 2 sets, 2 ways, tag_bits = 16 - 1 - 6 = 9
 MICRO = CacheConfig(cache_size=256, block_size=64, associativity=2, address_bits=16)
@@ -161,10 +166,6 @@ class TestCounters:
 
 
 class TestOutcomeInvariance:
-    def test_debug_mode_agrees_with_the_single_step_comparison(self):
-        state = CacheState(TINY, k=2, debug=True)
-        run_trace(state, uniform_trace(2000, seed=13, address_bits=16))
-
     def test_baseline_reference_matches_the_simulator(self):
         trace = uniform_trace(3000, seed=17, address_bits=16)
         outcomes = trace_outcomes(CacheState(TINY, k=5), trace)
@@ -203,6 +204,144 @@ class TestWarmFill:
         warm_fill(state)
         for s in (0, 100, 255):
             assert sum(valid for valid, _, _ in state.contents(s)) == 4
+
+
+def reference_fold(state: CacheState, trace) -> tuple[SimStats, list[bool]]:
+    """Counters and outcomes of the trace, one state.access at a time."""
+    stats = SimStats(ways=state.config.associativity)
+    outcomes = [state.access(address, stats) for address in trace]
+    return stats, outcomes
+
+
+def reference_warm_fill(state: CacheState) -> None:
+    """The warm fill as a per-access loop: tag t into every set, t = 0, 1, ..."""
+    g = state.geometry
+    scratch = SimStats(ways=state.config.associativity)
+    for tag in range(min(state.config.associativity, 1 << g.tag_bits)):
+        for set_index in range(g.sets):
+            state.access(((tag << g.index_bits) | set_index) << g.offset_bits, scratch)
+
+
+def all_contents(state: CacheState) -> list:
+    return [state.contents(s) for s in range(state.geometry.sets)]
+
+
+DIFFERENTIAL_CONFIGS = (
+    # one set of 4 ways
+    CacheConfig(cache_size=256, block_size=64, associativity=4, address_bits=16),
+    # 64 direct-mapped sets
+    CacheConfig(cache_size=4096, block_size=64, associativity=1, address_bits=16),
+    # 64 sets of 4 ways, 8 tag bits
+    CacheConfig(cache_size=16 * 1024, block_size=64, associativity=4, address_bits=20),
+    # 256 sets of 8 ways but only 2 tag bits: the warm fill is partial
+    CacheConfig(cache_size=128 * 1024, block_size=64, associativity=8, address_bits=16),
+    # wider than 64 bits: 60 and 68 tag bits
+    CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=72),
+    CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=80),
+)
+
+
+@st.composite
+def differential_traces(draw, config: CacheConfig):
+    """A uniform, stride or zipf-block trace; above 2**64 for wide addresses."""
+    kind = draw(st.sampled_from(TRACE_KINDS))
+    length = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 1 << 16))
+    bits = min(config.address_bits, 64)
+    if kind == "uniform":
+        # narrow spans revisit blocks, wide ones almost never do
+        trace = uniform_trace(length, seed, address_bits=draw(st.integers(1, bits)))
+    elif kind == "stride":
+        trace = stride_trace(
+            length,
+            stride=draw(st.sampled_from([8, 64, 4096, 1 << 14])),
+            base=draw(st.integers(0, (1 << bits) - 1)),
+            address_bits=bits,
+        )
+    else:
+        trace = zipf_block_trace(
+            length, seed, num_blocks=draw(st.sampled_from([4, 64, 1024])),
+            block_size=config.block_size, address_bits=bits,
+        )
+    if config.address_bits <= 64:
+        return trace
+    rng = random.Random(seed)
+    wide = config.address_bits - 64
+    return [a | (rng.getrandbits(wide) << 64) for a in trace.tolist()]
+
+
+class TestDifferential:
+    """The set-parallel engine against the scalar reference, state for state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_engine_matches_the_scalar_reference(self, data):
+        config = data.draw(st.sampled_from(DIFFERENTIAL_CONFIGS), label="config")
+        tag_bits = derive_geometry(config).tag_bits
+        k = data.draw(st.sampled_from([0, tag_bits]) | st.integers(0, tag_bits), label="k")
+        start = data.draw(st.sampled_from(["cold", "warm", "used, then warm"]), label="start")
+        prefix = data.draw(differential_traces(config), label="prefix")
+        trace = data.draw(differential_traces(config), label="trace")
+        # 0: numpy rounds only; huge: the scalar tail only
+        tail = data.draw(st.sampled_from([0, sim._SCALAR_TAIL_SETS, 1 << 30]), label="tail")
+        with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
+            slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
+            if start == "used, then warm":
+                reference_fold(slow, prefix)
+                run_trace(fast, prefix)
+                trace_outcomes(fast_outcomes, prefix)
+            if start != "cold":
+                reference_warm_fill(slow)
+                warm_fill(fast)
+                warm_fill(fast_outcomes)
+            assert all_contents(fast) == all_contents(slow)
+            expected_stats, expected_outcomes = reference_fold(slow, trace)
+            stats = run_trace(fast, trace)
+            outcomes = trace_outcomes(fast_outcomes, trace)
+        assert stats == expected_stats
+        assert outcomes == expected_outcomes
+        expected_contents = all_contents(slow)
+        assert all_contents(fast) == expected_contents
+        assert all_contents(fast_outcomes) == expected_contents
+
+    def test_counters_are_python_ints(self):
+        stats = run_trace(CacheState(TINY, k=3), uniform_trace(500, seed=3, address_bits=16))
+        counters = [getattr(stats, name) for name in (
+            "accesses", "hits", "misses", "step1_bit_reads", "step2_bit_reads",
+            "baseline_bit_reads")]
+        assert all(type(value) is int for value in counters + stats.matched_way_histogram)
+
+    @pytest.mark.parametrize("config", DIFFERENTIAL_CONFIGS)
+    def test_warm_fill_matches_the_per_access_fill(self, config):
+        state, reference = CacheState(config, k=1), CacheState(config, k=1)
+        warm_fill(state)
+        reference_warm_fill(reference)
+        assert all_contents(state) == all_contents(reference)
+
+
+class TestTraceValidation:
+    @pytest.mark.parametrize(
+        "trace,bad",
+        [
+            ([5, 1 << 17, 1 << 16], "0x20000"),
+            ([-1, 7], "-0x1"),
+            ([3, 1 << 64], "0x10000000000000000"),
+            (np.array([64, 1 << 40], dtype=np.uint64), "0x10000000000"),
+            (np.array([64, -64], dtype=np.int64), "-0x40"),
+        ],
+    )
+    def test_a_rejected_trace_leaves_the_state_unchanged(self, trace, bad):
+        state = CacheState(TINY, k=3)
+        warm_fill(state)
+        run_trace(state, uniform_trace(300, seed=5, address_bits=16))
+        before = all_contents(state)
+        message = f"address {bad} outside the 16-bit space"
+        with pytest.raises(ValueError, match=message):
+            run_trace(state, trace)
+        with pytest.raises(ValueError, match=message):
+            trace_outcomes(state, trace)
+        assert all_contents(state) == before
+        assert run_trace(state, [0]).accesses == 1
 
 
 class TestStatisticalAgreement:
