@@ -15,7 +15,9 @@ from .costs import (
     energy_from_stats,
     load_params,
     mttf,
+    mttf_from_bits,
     normalized_metrics,
+    ratios_from_bits,
     reliability,
     tag_energy,
 )
@@ -106,6 +108,8 @@ __all__ = [
     "energy_from_stats",
     "reliability",
     "mttf",
+    "mttf_from_bits",
     "normalized_metrics",
+    "ratios_from_bits",
     "load_params",
 ]

@@ -21,9 +21,16 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .costs import load_params, normalized_metrics, energy_from_stats, reliability
+from .costs import (
+    energy_from_stats,
+    load_params,
+    mttf_from_bits,
+    normalized_metrics,
+    ratios_from_bits,
+    reliability,
+)
 from .model import CacheConfig, baseline_bits, derive_geometry, expected_reads
 from .optimum import k_min_integer, k_optimal_continuous
 from .sim import CacheState, run_trace, warm_fill
@@ -188,42 +195,68 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _row_cells(row: dict, columns) -> list[str]:
-    return [format_value(row[name]) for name in columns]
-
-
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
-def _json_line(record: dict) -> str:
-    """One JSON object; inf and nan, which JSON lacks, as their CSV cell text."""
+def _csv_run(cells: dict) -> str:
+    # cells are numbers, booleans, empties and config ids, none of which CSV quotes
+    return ",".join(map(format_value, cells.values()))
+
+
+def _json_run(cells: dict) -> str:
+    """Members of a JSON object; inf and nan, which JSON lacks, as their CSV cell text."""
     try:
-        return _STRICT_JSON.encode(record)
+        text = _STRICT_JSON.encode(cells)
     except ValueError:
-        return _STRICT_JSON.encode(
+        text = _STRICT_JSON.encode(
             {
                 name: format_value(value)
                 if isinstance(value, float) and not math.isfinite(value)
                 else value
-                for name, value in record.items()
+                for name, value in cells.items()
             }
         )
+    return text[1:-1]
 
 
-def write_rows(path, columns, rows: list[dict], output_format: str) -> None:
-    if output_format == "csv":
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(_row_cells(row, columns))
-    elif output_format == "json-lines":
-        with open(path, "w", encoding="ascii") as fh:
-            for row in rows:
-                fh.write(_json_line({name: row[name] for name in columns}))
-                fh.write("\n")
-    else:
+# output format -> (encode a run, text between runs, line prefix, line suffix)
+_RUN_FORMATS = {
+    "csv": (_csv_run, ",", "", "\n"),
+    "json-lines": (_json_run, ", ", "{", "}\n"),
+}
+
+
+def _write_lines(path, columns, output_format: str, encoded_rows) -> int:
+    """Stream rows to path, after a header line for CSV; returns the row count.
+
+    encoded_rows(encode) returns the rows.  Each row is a tuple of runs:
+    dicts of consecutive columns, passed through the format's encode,
+    that together cover the columns in order.  Rows may share a run, so
+    it is encoded once.  encoded_rows is called before path is opened,
+    so an error it raises leaves no file behind.
+    """
+    if output_format not in _RUN_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
+    encode, between, prefix, suffix = _RUN_FORMATS[output_format]
+    rows = encoded_rows(encode)
+    count = 0
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        if output_format == "csv":
+            fh.write(",".join(columns) + "\n")
+        for runs in rows:
+            fh.write(prefix + between.join(runs) + suffix)
+            count += 1
+    return count
+
+
+def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
+    """Write rows, dicts holding every column, to path; returns the row count."""
+    return _write_lines(
+        path,
+        columns,
+        output_format,
+        lambda encode: ((encode({name: row[name] for name in columns}),) for row in rows),
+    )
 
 
 def _grid_points(spec: SweepSpec):
@@ -251,20 +284,72 @@ def _grid_points(spec: SweepSpec):
     return points
 
 
-def _simulated_bits_per_access(config: CacheConfig, k: int, spec: SweepSpec) -> float:
-    params = {"address_bits": config.address_bits}
-    if spec.trace_kind == "stride":
-        params["stride"] = config.block_size
-    elif spec.trace_kind == "zipf-block":
-        params["block_size"] = config.block_size
-    trace = generate_trace(spec.trace_kind, spec.trace_length, spec.trace_seed, **params)
-    state = CacheState(config, k)
-    warm_fill(state)
-    return run_trace(state, trace).bits_per_access
+def _trace_params(
+    kind: str, address_bits: int, block_size: int, stride: int, base: int = 0, **zipf
+) -> dict:
+    """Keyword arguments of generate_trace for one trace kind.
+
+    zipf holds the zipf-block kind's exponent and num_blocks; when left
+    out, the generator's defaults apply.
+    """
+    params = {"address_bits": address_bits}
+    if kind == "stride":
+        params.update(stride=stride, base=base)
+    elif kind == "zipf-block":
+        params.update(block_size=block_size, **zipf)
+    return params
 
 
-def evaluate_sweep(spec: SweepSpec, energy=None, reliab=None) -> list[SweepRow]:
-    """All sweep rows, sorted by (cache_size, associativity, address_bits, k)."""
+# the four runs of consecutive columns a sweep row is built from (evaluate_sweep)
+_POINT_COLUMNS = SWEEP_COLUMNS[:5]
+_SPLIT_COLUMNS = SWEEP_COLUMNS[5:13]
+_SIM_COLUMNS = SWEEP_COLUMNS[13:15]
+_COST_COLUMNS = SWEEP_COLUMNS[15:]
+
+
+def _split_runs(tag_bits: int, ways: int, ks: range, encode, energy) -> list[tuple]:
+    """(SplitEval, split run, cost run) of one (tag_bits, ways) pair per k."""
+    opt = k_min_integer(tag_bits, ways)
+    is_round = opt.k_min == round(opt.k_optimal)
+    base = baseline_bits(tag_bits, ways)
+    runs = []
+    for k in ks:
+        ev = expected_reads(tag_bits, ways, k)
+        split = (
+            k,
+            ev.first_step_bits,
+            ev.expected_second_step_bits,
+            ev.total_bits,
+            ev.reduction_ratio,
+            opt.k_optimal,
+            opt.k_min,
+            is_round,
+        )
+        costs = (None, None)
+        if energy is not None:
+            costs = ratios_from_bits(ev.total_bits, base, 1, energy)
+        runs.append(
+            (ev, encode(dict(zip(_SPLIT_COLUMNS, split))), encode(dict(zip(_COST_COLUMNS, costs))))
+        )
+    return runs
+
+
+def evaluate_sweep(spec: SweepSpec, encode, energy=None):
+    """Sweep rows sorted by (cache_size, associativity, address_bits, k).
+
+    Each row is a tuple of four runs of consecutive SWEEP_COLUMNS (the
+    grid point, the splitting point, the simulation and the cost
+    ratios), each a dict of column values passed through encode.  The
+    splitting-point and cost runs depend only on (tag_bits,
+    associativity, k), so each is built and encoded once and shared by
+    every grid point with that pair.  The cost ratios are filled in
+    when energy parameters are given.
+
+    The grid is validated, every pair evaluated and every trace
+    generated before this returns.  The returned iterator then produces
+    the rows one at a time; with spec.include_simulation, each row is
+    simulated as it is produced.
+    """
     points = _grid_points(spec)
     low, high = spec.k_range
     max_tag_bits = max(geo.tag_bits for _, geo in points)
@@ -272,40 +357,43 @@ def evaluate_sweep(spec: SweepSpec, energy=None, reliab=None) -> list[SweepRow]:
         raise ValueError(
             f"k range {low}:{high} exceeds the longest tag in the grid ({max_tag_bits} bits)"
         )
-    rows = []
+    pairs = {}
     for config, geo in points:
-        opt = k_min_integer(geo.tag_bits, config.associativity)
-        for k in range(low, min(high, geo.tag_bits) + 1):
-            ev = expected_reads(geo.tag_bits, config.associativity, k)
-            row = SweepRow(
-                cache_size=config.cache_size,
-                associativity=config.associativity,
-                address_bits=config.address_bits,
-                block_size=config.block_size,
-                tag_bits=geo.tag_bits,
-                k=k,
-                first_step_bits=ev.first_step_bits,
-                expected_second_step_bits=ev.expected_second_step_bits,
-                total_bits=ev.total_bits,
-                reduction_ratio=ev.reduction_ratio,
-                k_optimal=opt.k_optimal,
-                k_min=opt.k_min,
-                is_round_of_continuous=opt.k_min == round(opt.k_optimal),
+        pair = (geo.tag_bits, config.associativity)
+        if pair not in pairs:
+            ks = range(low, min(high, geo.tag_bits) + 1)
+            pairs[pair] = _split_runs(*pair, ks, encode, energy)
+    traces = {}
+    if spec.include_simulation:
+        for addr in sorted(set(spec.address_bits_list)):
+            params = _trace_params(spec.trace_kind, addr, spec.block_size, stride=spec.block_size)
+            traces[addr] = generate_trace(
+                spec.trace_kind, spec.trace_length, spec.trace_seed, **params
             )
-            if spec.include_simulation:
-                observed = _simulated_bits_per_access(config, k, spec)
-                row.sim_bits_per_access = observed
-                row.sim_relative_error = (observed - ev.total_bits) / ev.total_bits
-            if energy is not None and reliab is not None:
-                row.energy_ratio, row.mttf_ratio = normalized_metrics(
-                    geo.tag_bits, config.associativity, k, energy, reliab
-                )
-            rows.append(row)
-    return rows
+    return _sweep_rows(points, pairs, traces, encode)
 
 
-def _sweep_row_dicts(rows: list[SweepRow]) -> list[dict]:
-    return [{f.name: getattr(row, f.name) for f in fields(SweepRow)} for row in rows]
+def _sweep_rows(points, pairs, traces, encode):
+    no_sim = encode(dict.fromkeys(_SIM_COLUMNS))
+    for config, geo in points:
+        cells = (
+            config.cache_size,
+            config.associativity,
+            config.address_bits,
+            config.block_size,
+            geo.tag_bits,
+        )
+        point = encode(dict(zip(_POINT_COLUMNS, cells)))
+        for ev, split, costs in pairs[(geo.tag_bits, config.associativity)]:
+            sim = no_sim
+            if traces:
+                # a fresh warm cache per row: rows of one grid point differ in k
+                state = CacheState(config, ev.k)
+                warm_fill(state)
+                observed = run_trace(state, traces[config.address_bits]).bits_per_access
+                relative_error = (observed - ev.total_bits) / ev.total_bits
+                sim = encode(dict(zip(_SIM_COLUMNS, (observed, relative_error))))
+            yield point, split, sim, costs
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
@@ -421,13 +509,27 @@ def cmd_sweep(args) -> int:
         trace_length=args.trace_length,
         trace_seed=args.trace_seed,
     )
-    energy = reliab = None
-    if args.params is not None:
-        energy, reliab = load_params(args.params)
-    rows = evaluate_sweep(spec, energy=energy, reliab=reliab)
-    write_rows(args.out, SWEEP_COLUMNS, _sweep_row_dicts(rows), args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    # the MTTF ratio is the bit-read ratio, so it needs no reliability parameters
+    energy = load_params(args.params)[0] if args.params is not None else None
+    count = _write_lines(
+        args.out, SWEEP_COLUMNS, args.format, lambda encode: evaluate_sweep(spec, encode, energy)
+    )
+    print(f"wrote {count} rows to {args.out}")
     return 0
+
+
+def _generate(kind: str, args):
+    """The trace the generator flags of simulate and gen-trace describe."""
+    params = _trace_params(
+        kind,
+        args.addr_bits,
+        args.block,
+        args.stride,
+        args.base,
+        exponent=args.zipf_exponent,
+        num_blocks=args.num_blocks,
+    )
+    return generate_trace(kind, args.length, args.seed, **params)
 
 
 def _load_trace(args):
@@ -439,16 +541,7 @@ def _load_trace(args):
         raise ValueError(
             f"cannot infer trace format from {args.trace!r}; use .trace/.txt or .bin"
         )
-    params = {"address_bits": args.addr_bits}
-    if args.gen == "stride":
-        params.update(stride=args.stride, base=args.base)
-    elif args.gen == "zipf-block":
-        params.update(
-            exponent=args.zipf_exponent,
-            num_blocks=args.num_blocks,
-            block_size=args.block,
-        )
-    return generate_trace(args.gen, args.length, args.seed, **params)
+    return _generate(args.gen, args)
 
 
 def cmd_simulate(args) -> int:
@@ -517,14 +610,7 @@ def cmd_simulate(args) -> int:
             geo.tag_bits, config.associativity, k, energy, reliab, accesses=stats.accesses
         )
         run_reliability = reliability(stats.total_bit_reads, reliab)
-        # failure rate straight from the log-domain exponent; chaining
-        # through the reliability value would round 1 - tiny to 1.0
-        rate = (
-            -stats.total_bit_reads
-            * math.log1p(-reliab.p_read_disturb)
-            / reliab.execution_time
-        )
-        mttf_seconds = math.inf if rate == 0.0 else 1.0 / rate
+        mttf_seconds = mttf_from_bits(stats.total_bit_reads, reliab)
         print(f"energy_joules: {format_value(joules)}")
         print(f"energy_ratio: {format_value(energy_ratio)}")
         print(f"reliability: {format_value(run_reliability)}")
@@ -546,16 +632,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    params = {"address_bits": args.addr_bits}
-    if args.kind == "stride":
-        params.update(stride=args.stride, base=args.base)
-    elif args.kind == "zipf-block":
-        params.update(
-            exponent=args.zipf_exponent,
-            num_blocks=args.num_blocks,
-            block_size=args.block,
-        )
-    trace = generate_trace(args.kind, args.length, args.seed, **params)
+    trace = _generate(args.kind, args)
     if args.out.endswith(".bin"):
         write_trace_binary(args.out, trace)
     elif args.out.endswith((".trace", ".txt")):

@@ -29,7 +29,9 @@ __all__ = [
     "energy_from_stats",
     "reliability",
     "mttf",
+    "mttf_from_bits",
     "normalized_metrics",
+    "ratios_from_bits",
     "load_params",
 ]
 
@@ -128,6 +130,31 @@ def mttf(reliability_value: float, execution_time: float) -> float:
     return 1.0 / rate
 
 
+def mttf_from_bits(bits_read: float, params: ReliabilityParams) -> float:
+    """Mean time to failure of a run that read bits_read tag bits.
+
+    The failure rate comes straight from the log-domain exponent,
+    -bits_read * ln(1 - p) / execution_time; going through the
+    reliability value would round 1 - tiny to 1.0.  A rate of zero
+    (p = 0 or nothing read) never fails and reports infinity.
+    """
+    if not bits_read >= 0.0:
+        raise ValueError(f"bits_read must be >= 0, got {bits_read!r}")
+    rate = -bits_read * math.log1p(-params.p_read_disturb) / params.execution_time
+    return math.inf if rate == 0.0 else 1.0 / rate
+
+
+def ratios_from_bits(
+    split_bits: float, base_bits: float, accesses: int, energy: EnergyParams
+) -> tuple[float, float]:
+    """(energy_ratio, mttf_ratio) of a run that read split_bits tag bits
+    against one that read base_bits, both over the same accesses."""
+    energy_ratio = tag_energy(split_bits, accesses, energy) / tag_energy(
+        base_bits, accesses, energy
+    )
+    return energy_ratio, base_bits / split_bits
+
+
 def normalized_metrics(
     tag_bits: int,
     ways: int,
@@ -147,13 +174,12 @@ def normalized_metrics(
     """
     if accesses < 1:
         raise ValueError(f"accesses must be >= 1, got {accesses!r}")
-    split_bits = expected_reads(tag_bits, ways, k).total_bits * accesses
-    base_bits = baseline_bits(tag_bits, ways) * accesses
-    energy_ratio = tag_energy(split_bits, accesses, energy) / tag_energy(
-        base_bits, accesses, energy
+    return ratios_from_bits(
+        expected_reads(tag_bits, ways, k).total_bits * accesses,
+        baseline_bits(tag_bits, ways) * accesses,
+        accesses,
+        energy,
     )
-    mttf_ratio = base_bits / split_bits
-    return energy_ratio, mttf_ratio
 
 
 def load_params(path) -> tuple[EnergyParams, ReliabilityParams]:

@@ -75,15 +75,8 @@ def k_optimal_continuous(tag_bits: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
-    """Best integer splitting point by exhaustive comparison.
-
-    Ties are broken toward the smaller k.  The argmin is evaluated on
-    the per-way totals k + (n-k)/2**k, which are exact in binary
-    floating point near the minimum, so exact ties (n of the form
-    2**(k+1) + k - 1) break deterministically; the given associativity
-    is then asserted to yield the same minimizer within rounding slack.
-    """
+def _per_way_argmin(tag_bits: int) -> tuple[int, float]:
+    """(integer argmin, continuous optimum) of the per-way total k + (n-k)/2**k."""
     best_k = 0
     best_total = expected_reads(tag_bits, 1, 0).total_bits
     for k in range(1, tag_bits + 1):
@@ -96,6 +89,21 @@ def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
             f"integer argmin {best_k} escaped [floor, ceil] of the continuous "
             f"optimum {k_opt!r} for tag_bits={tag_bits}; the cost should be convex"
         )
+    return best_k, k_opt
+
+
+@lru_cache(maxsize=None)
+def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
+    """Best integer splitting point by exhaustive comparison.
+
+    Ties are broken toward the smaller k.  The argmin is evaluated once
+    per tag length, on the per-way totals k + (n-k)/2**k, which are
+    exact in binary floating point near the minimum, so exact ties (n of
+    the form 2**(k+1) + k - 1) break deterministically; the given
+    associativity is then asserted to yield the same minimizer within
+    rounding slack.
+    """
+    best_k, k_opt = _per_way_argmin(tag_bits)
     chosen = expected_reads(tag_bits, ways, best_k)
     scaled_minimum = min(
         expected_reads(tag_bits, ways, k).total_bits for k in range(tag_bits + 1)

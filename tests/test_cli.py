@@ -1,5 +1,6 @@
 """Command-line interface: parsing, file outputs, and exit codes."""
 
+import collections
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from tagsplit import cli, costs
 from tagsplit.optimum import k_min_integer
 from tagsplit.cli import (
     CURVE_COLUMNS,
@@ -109,6 +111,7 @@ class TestParsers:
     def test_write_rows_rejects_unknown_formats(self, tmp_path):
         with pytest.raises(ValueError, match="output format"):
             write_rows(tmp_path / "x", ("a",), [{"a": 1}], "xml")
+        assert not (tmp_path / "x").exists()
 
 
 class TestAnalyze:
@@ -203,6 +206,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "invalid grid entries" in err
         assert "size=100" in err and "size=262144" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_k_range_beyond_every_tag_exits_2(self, tmp_path, capsys):
         code = main(
@@ -217,6 +221,60 @@ class TestSweep:
         )
         assert code == 2
         assert "exceeds the longest tag" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_each_split_is_evaluated_once_per_tag_length_and_ways(self, tmp_path, monkeypatch):
+        # 256K at 42 address bits and 1M at 44 share every (tag_bits, ways) pair
+        calls = collections.Counter()
+
+        def counting(tag_bits, ways, k):
+            calls[(tag_bits, ways, k)] += 1
+            return model_expected_reads(tag_bits, ways, k)
+
+        model_expected_reads = cli.expected_reads
+        monkeypatch.setattr(cli, "expected_reads", counting)
+        monkeypatch.setattr(costs, "expected_reads", counting)
+        out = tmp_path / "out.csv"
+        args = ["sweep", "--sizes", "256K,1M", "--assocs", "4,8", "--addr-bits", "42,44",
+                "--k-range", "1:6", "--params", params_file(tmp_path), "--out", str(out)]
+        assert main(args) == 0
+        sweep_calls = calls.copy()  # read_sweep_csv re-evaluates every row
+        rows = read_sweep_csv(out)
+        assert len(rows) == 2 * 2 * 2 * 6
+        assert sweep_calls == collections.Counter(
+            {(row.tag_bits, row.associativity, row.k): 1 for row in rows}
+        )
+        assert len(sweep_calls) == 3 * 2 * 6
+
+    def test_simulation_generates_one_trace_per_address_width(self, tmp_path, monkeypatch):
+        generated, simulated = [], []
+
+        def generate(*args, **params):
+            generated.append(params["address_bits"])
+            return real_generate(*args, **params)
+
+        def run(state, trace):
+            simulated.append(state.k)
+            return real_run(state, trace)
+
+        real_generate, real_run = cli.generate_trace, cli.run_trace
+        monkeypatch.setattr(cli, "generate_trace", generate)
+        monkeypatch.setattr(cli, "run_trace", run)
+        out = tmp_path / "sim.csv"
+        args = ["sweep", "--sizes", "16K,64K", "--assocs", "2,4", "--addr-bits", "32,36",
+                "--k-range", "2:4", "--simulate", "--trace-length", "500", "--out", str(out)]
+        assert main(args) == 0
+        assert generated == [32, 36]
+        assert simulated == [row.k for row in read_sweep_csv(out)]
+        assert len(simulated) == 2 * 2 * 2 * 3
+
+    def test_simulation_beyond_the_generators_address_width_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        args = ["sweep", "--sizes", "64K", "--assocs", "4", "--addr-bits", "40,72",
+                "--simulate", "--trace-length", "100", "--out", str(out)]
+        assert main(args) == 2
+        assert "1..64 bits, got 72" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cost_columns_appear_with_params(self, tmp_path):
         out = self.run(tmp_path, extra=["--params", params_file(tmp_path)])

@@ -13,7 +13,9 @@ from tagsplit.costs import (
     energy_from_stats,
     load_params,
     mttf,
+    mttf_from_bits,
     normalized_metrics,
+    ratios_from_bits,
     reliability,
     tag_energy,
 )
@@ -94,6 +96,31 @@ class TestMttf:
             mttf(0.5, 0.0)
 
 
+class TestMttfFromBits:
+    @pytest.mark.parametrize(
+        "bits,p,window",
+        [(1, 1e-12, 1.0), (41_500, 4.3e-12, 0.75), (10**15, 1e-9, 3600.0), (7, 0.5, 2.0)],
+    )
+    def test_matches_the_log_domain_rate(self, bits, p, window):
+        params = ReliabilityParams(p_read_disturb=p, execution_time=window)
+        rate = -bits * math.log1p(-p) / window
+        assert mttf_from_bits(bits, params) == 1.0 / rate
+
+    def test_agrees_with_mttf_of_the_reliability(self):
+        params = ReliabilityParams(p_read_disturb=0.01, execution_time=2.0)
+        assert mttf_from_bits(30, params) == pytest.approx(
+            mttf(reliability(30, params), 2.0), rel=1e-12
+        )
+
+    def test_no_disturbance_or_no_reads_never_fail(self):
+        zero_p = ReliabilityParams(p_read_disturb=0.0, execution_time=1.0)
+        assert mttf_from_bits(10**12, zero_p) == math.inf
+        assert mttf_from_bits(0, RELIAB) == math.inf
+
+    def test_rejects_negative_reads(self):
+        with pytest.raises(ValueError, match="bits_read"):
+            mttf_from_bits(-1, RELIAB)
+
 class TestNormalizedMetrics:
     def test_reference_point(self):
         # n=23, x=8, k=4: 41.5 expected vs 184 baseline bits
@@ -122,6 +149,12 @@ class TestNormalizedMetrics:
         one = normalized_metrics(23, 8, 4, ENERGY_ONLY, RELIAB, accesses=1)
         many = normalized_metrics(23, 8, 4, ENERGY_ONLY, RELIAB, accesses=10_000)
         assert one == pytest.approx(many, rel=1e-12)
+
+    def test_is_the_bit_ratio_helper_on_expected_reads(self):
+        energy = EnergyParams(energy_per_bit_read=2.7e-12, fixed_energy_per_access=3e-12)
+        assert normalized_metrics(23, 8, 4, energy, RELIAB) == ratios_from_bits(
+            41.5, 184, 1, energy
+        )
 
     def test_rejects_empty_runs(self):
         with pytest.raises(ValueError, match="accesses"):
