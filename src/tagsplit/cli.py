@@ -21,13 +21,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .costs import (
     energy_from_stats,
     load_params,
     mttf_from_bits,
-    normalized_metrics,
     ratios_from_bits,
     reliability,
 )
@@ -46,25 +45,31 @@ from .traces import (
 KIB = 1024
 DEFAULT_K_RANGE = (1, 10)
 
-SWEEP_COLUMNS = (
-    "cache_size",
-    "associativity",
-    "address_bits",
-    "block_size",
-    "tag_bits",
-    "k",
-    "first_step_bits",
-    "expected_second_step_bits",
-    "total_bits",
-    "reduction_ratio",
-    "k_optimal",
-    "k_min",
-    "is_round_of_continuous",
-    "sim_bits_per_access",
-    "sim_relative_error",
-    "energy_ratio",
-    "mttf_ratio",
-)
+
+@dataclass
+class SweepRow:
+    """One grid point evaluated at one splitting point; its fields are the sweep columns."""
+
+    cache_size: int
+    associativity: int
+    address_bits: int
+    block_size: int
+    tag_bits: int
+    k: int
+    first_step_bits: float
+    expected_second_step_bits: float
+    total_bits: float
+    reduction_ratio: float
+    k_optimal: float
+    k_min: int
+    is_round_of_continuous: bool
+    sim_bits_per_access: float | None = None
+    sim_relative_error: float | None = None
+    energy_ratio: float | None = None
+    mttf_ratio: float | None = None
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 CURVE_COLUMNS = (
     "config_id",
@@ -103,43 +108,8 @@ SIM_COLUMNS = (
     "mttf_ratio",
 )
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of configurations and splitting points to evaluate."""
-
-    cache_sizes: tuple[int, ...]
-    associativities: tuple[int, ...]
-    address_bits_list: tuple[int, ...]
-    block_size: int = 64
-    k_range: tuple[int, int] = DEFAULT_K_RANGE
-    include_simulation: bool = False
-    trace_kind: str = "uniform"
-    trace_length: int = 100_000
-    trace_seed: int = 0
-
-
-@dataclass
-class SweepRow:
-    """One grid point evaluated at one splitting point."""
-
-    cache_size: int
-    associativity: int
-    address_bits: int
-    block_size: int
-    tag_bits: int
-    k: int
-    first_step_bits: float
-    expected_second_step_bits: float
-    total_bits: float
-    reduction_ratio: float
-    k_optimal: float
-    k_min: int
-    is_round_of_continuous: bool
-    sim_bits_per_access: float | None = None
-    sim_relative_error: float | None = None
-    energy_ratio: float | None = None
-    mttf_ratio: float | None = None
+# the counters and the comparison with the model, which simulate also prints
+_SIM_REPORT_COLUMNS = SIM_COLUMNS[6:17]
 
 
 def parse_size(text: str) -> int:
@@ -259,22 +229,24 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
     )
 
 
-def _grid_points(spec: SweepSpec):
-    """Validated (config, geometry) pairs in output order, or all errors."""
+def _point(size: int, assoc: int, addr_bits: int, block: int):
+    """The validated configuration and its geometry."""
+    config = CacheConfig(
+        address_bits=addr_bits, cache_size=size, block_size=block, associativity=assoc
+    )
+    return config, derive_geometry(config)
+
+
+def _grid_points(args):
+    """Validated (config, geometry) pairs of a sweep grid in output order, or all errors."""
     points = []
     errors = []
-    for size in sorted(set(spec.cache_sizes)):
-        for assoc in sorted(set(spec.associativities)):
-            for addr in sorted(set(spec.address_bits_list)):
-                label = f"size={size} assoc={assoc} addr_bits={addr} block={spec.block_size}"
+    for size in sorted(set(args.sizes)):
+        for assoc in sorted(set(args.assocs)):
+            for addr in sorted(set(args.addr_bits)):
+                label = f"size={size} assoc={assoc} addr_bits={addr} block={args.block}"
                 try:
-                    config = CacheConfig(
-                        address_bits=addr,
-                        cache_size=size,
-                        block_size=spec.block_size,
-                        associativity=assoc,
-                    )
-                    points.append((config, derive_geometry(config)))
+                    points.append(_point(size, assoc, addr, args.block))
                 except ValueError as exc:
                     errors.append(f"{label}: {exc}")
     if errors:
@@ -282,6 +254,17 @@ def _grid_points(spec: SweepSpec):
     if not points:
         raise ValueError("the sweep grid is empty")
     return points
+
+
+def _k_ranges(k_range: tuple[int, int], tag_lengths) -> dict[int, range]:
+    """Splitting points LO..min(HI, n) per tag length n; HI beyond the longest is an error."""
+    low, high = k_range
+    longest = max(tag_lengths)
+    if high > longest:
+        raise ValueError(
+            f"k range {low}:{high} exceeds the longest tag in the grid ({longest} bits)"
+        )
+    return {n: range(low, min(high, n) + 1) for n in tag_lengths}
 
 
 def _trace_params(
@@ -334,7 +317,7 @@ def _split_runs(tag_bits: int, ways: int, ks: range, encode, energy) -> list[tup
     return runs
 
 
-def evaluate_sweep(spec: SweepSpec, encode, energy=None):
+def evaluate_sweep(args, encode, energy=None):
     """Sweep rows sorted by (cache_size, associativity, address_bits, k).
 
     Each row is a tuple of four runs of consecutive SWEEP_COLUMNS (the
@@ -345,30 +328,24 @@ def evaluate_sweep(spec: SweepSpec, encode, energy=None):
     every grid point with that pair.  The cost ratios are filled in
     when energy parameters are given.
 
-    The grid is validated, every pair evaluated and every trace
-    generated before this returns.  The returned iterator then produces
-    the rows one at a time; with spec.include_simulation, each row is
-    simulated as it is produced.
+    args holds the parsed sweep flags.  The grid is validated, every
+    pair evaluated and every trace generated before this returns.  The
+    returned iterator then produces the rows one at a time; with
+    args.simulate, each row is simulated as it is produced.
     """
-    points = _grid_points(spec)
-    low, high = spec.k_range
-    max_tag_bits = max(geo.tag_bits for _, geo in points)
-    if high > max_tag_bits:
-        raise ValueError(
-            f"k range {low}:{high} exceeds the longest tag in the grid ({max_tag_bits} bits)"
-        )
+    points = _grid_points(args)
+    ks = _k_ranges(args.k_range, {geo.tag_bits for _, geo in points})
     pairs = {}
     for config, geo in points:
         pair = (geo.tag_bits, config.associativity)
         if pair not in pairs:
-            ks = range(low, min(high, geo.tag_bits) + 1)
-            pairs[pair] = _split_runs(*pair, ks, encode, energy)
+            pairs[pair] = _split_runs(*pair, ks[geo.tag_bits], encode, energy)
     traces = {}
-    if spec.include_simulation:
-        for addr in sorted(set(spec.address_bits_list)):
-            params = _trace_params(spec.trace_kind, addr, spec.block_size, stride=spec.block_size)
+    if args.simulate:
+        for addr in sorted(set(args.addr_bits)):
+            params = _trace_params(args.trace_kind, addr, args.block, stride=args.block)
             traces[addr] = generate_trace(
-                spec.trace_kind, spec.trace_length, spec.trace_seed, **params
+                args.trace_kind, args.trace_length, args.trace_seed, **params
             )
     return _sweep_rows(points, pairs, traces, encode)
 
@@ -396,68 +373,77 @@ def _sweep_rows(points, pairs, traces, encode):
             yield point, split, sim, costs
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"not true or false: {text!r}")
+    return text == "true"
+
+
+_CELL_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+# (column, cell parser, whether the cell may be empty) from SweepRow's field
+# annotations, which are strings under postponed evaluation; only the
+# simulation and cost columns may be empty
+_SWEEP_CELLS = tuple(
+    (f.name, _CELL_PARSERS[f.type.removesuffix(" | None")], f.default is None)
+    for f in fields(SweepRow)
+)
+
+
 def read_sweep_csv(path) -> list[SweepRow]:
-    """Load a sweep CSV, re-validating every row against the model."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SWEEP_COLUMNS:
-            raise ValueError(f"{path}: unexpected sweep header {reader.fieldnames!r}")
-        raw_rows = list(reader)
-    if not raw_rows:
-        raise ValueError(f"{path}: no sweep rows")
+    """Load a sweep CSV, re-validating every row against the model.
+
+    Malformed input raises ValueError naming the path, line and column.
+    """
     rows = []
     k_min_by_point: dict[tuple, int] = {}
-    for raw in raw_rows:
-        row = SweepRow(
-            cache_size=int(raw["cache_size"]),
-            associativity=int(raw["associativity"]),
-            address_bits=int(raw["address_bits"]),
-            block_size=int(raw["block_size"]),
-            tag_bits=int(raw["tag_bits"]),
-            k=int(raw["k"]),
-            first_step_bits=float(raw["first_step_bits"]),
-            expected_second_step_bits=float(raw["expected_second_step_bits"]),
-            total_bits=float(raw["total_bits"]),
-            reduction_ratio=float(raw["reduction_ratio"]),
-            k_optimal=float(raw["k_optimal"]),
-            k_min=int(raw["k_min"]),
-            is_round_of_continuous=raw["is_round_of_continuous"] == "true",
-            sim_bits_per_access=float(raw["sim_bits_per_access"])
-            if raw["sim_bits_per_access"]
-            else None,
-            sim_relative_error=float(raw["sim_relative_error"])
-            if raw["sim_relative_error"]
-            else None,
-            energy_ratio=float(raw["energy_ratio"]) if raw["energy_ratio"] else None,
-            mttf_ratio=float(raw["mttf_ratio"]) if raw["mttf_ratio"] else None,
-        )
-        config = CacheConfig(
-            address_bits=row.address_bits,
-            cache_size=row.cache_size,
-            block_size=row.block_size,
-            associativity=row.associativity,
-        )
-        geo = derive_geometry(config)
-        ev = expected_reads(geo.tag_bits, row.associativity, row.k)
-        point = (row.cache_size, row.associativity, row.address_bits)
-        known_k_min = k_min_by_point.setdefault(point, row.k_min)
-        checks = (
-            ("tag_bits", geo.tag_bits == row.tag_bits),
-            ("total_bits", math.isclose(ev.total_bits, row.total_bits, rel_tol=1e-9)),
-            (
-                "reduction_ratio",
-                math.isclose(ev.reduction_ratio, row.reduction_ratio, rel_tol=1e-9),
-            ),
-            ("k_min constant per grid point", known_k_min == row.k_min),
-            (
-                "is_round_of_continuous",
-                row.is_round_of_continuous == (row.k_min == round(row.k_optimal)),
-            ),
-        )
-        for label, ok in checks:
-            if not ok:
-                raise ValueError(f"{path}: row {raw!r} fails self-check: {label}")
-        rows.append(row)
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != SWEEP_COLUMNS:
+            raise ValueError(f"{path}: unexpected sweep header {header!r}")
+        for cells in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != len(SWEEP_COLUMNS):
+                problem = (
+                    f"column {SWEEP_COLUMNS[len(cells)]}: missing"
+                    if len(cells) < len(SWEEP_COLUMNS)
+                    else f"column {len(SWEEP_COLUMNS) + 1}: a cell after {SWEEP_COLUMNS[-1]}"
+                )
+                raise ValueError(f"{where}, {problem}")
+            values = []
+            for (name, parse, optional), text in zip(_SWEEP_CELLS, cells):
+                try:
+                    values.append(None if optional and text == "" else parse(text))
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {name}: {exc}") from None
+            row = SweepRow(*values)
+            try:
+                _, geo = _point(row.cache_size, row.associativity, row.address_bits, row.block_size)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            ev = expected_reads(geo.tag_bits, row.associativity, row.k)
+            point = (row.cache_size, row.associativity, row.address_bits)
+            known_k_min = k_min_by_point.setdefault(point, row.k_min)
+            checks = (
+                ("tag_bits", geo.tag_bits == row.tag_bits),
+                ("total_bits", math.isclose(ev.total_bits, row.total_bits, rel_tol=1e-9)),
+                (
+                    "reduction_ratio",
+                    math.isclose(ev.reduction_ratio, row.reduction_ratio, rel_tol=1e-9),
+                ),
+                ("k_min constant per grid point", known_k_min == row.k_min),
+                (
+                    "is_round_of_continuous",
+                    row.is_round_of_continuous == (row.k_min == round(row.k_optimal)),
+                ),
+            )
+            for label, ok in checks:
+                if not ok:
+                    raise ValueError(f"{where} fails self-check: {label}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no sweep rows")
     return rows
 
 
@@ -472,16 +458,15 @@ def _print_geometry(config: CacheConfig, geo) -> None:
     print(f"tag_bits: {geo.tag_bits}")
 
 
-def cmd_analyze(args) -> int:
-    config = CacheConfig(
-        address_bits=args.addr_bits,
-        cache_size=args.size,
-        block_size=args.block,
-        associativity=args.assoc,
-    )
-    geo = derive_geometry(config)
+def _configure(args):
+    """(config, geometry, optimum, k) of one configuration's flags; k defaults to the optimum."""
+    config, geo = _point(args.size, args.assoc, args.addr_bits, args.block)
     opt = k_min_integer(geo.tag_bits, config.associativity)
-    k = args.k if args.k is not None else opt.k_min
+    return config, geo, opt, args.k if args.k is not None else opt.k_min
+
+
+def cmd_analyze(args) -> int:
+    config, geo, opt, k = _configure(args)
     ev = expected_reads(geo.tag_bits, config.associativity, k)
     _print_geometry(config, geo)
     print(f"baseline_bits_per_access: {baseline_bits(geo.tag_bits, config.associativity)}")
@@ -498,21 +483,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        cache_sizes=args.sizes,
-        associativities=args.assocs,
-        address_bits_list=args.addr_bits,
-        block_size=args.block,
-        k_range=args.k_range,
-        include_simulation=args.simulate,
-        trace_kind=args.trace_kind,
-        trace_length=args.trace_length,
-        trace_seed=args.trace_seed,
-    )
     # the MTTF ratio is the bit-read ratio, so it needs no reliability parameters
     energy = load_params(args.params)[0] if args.params is not None else None
     count = _write_lines(
-        args.out, SWEEP_COLUMNS, args.format, lambda encode: evaluate_sweep(spec, encode, energy)
+        args.out, SWEEP_COLUMNS, args.format, lambda encode: evaluate_sweep(args, encode, energy)
     )
     print(f"wrote {count} rows to {args.out}")
     return 0
@@ -545,15 +519,7 @@ def _load_trace(args):
 
 
 def cmd_simulate(args) -> int:
-    config = CacheConfig(
-        address_bits=args.addr_bits,
-        cache_size=args.size,
-        block_size=args.block,
-        associativity=args.assoc,
-    )
-    geo = derive_geometry(config)
-    opt = k_min_integer(geo.tag_bits, config.associativity)
-    k = args.k if args.k is not None else opt.k_min
+    config, geo, _, k = _configure(args)
     trace = _load_trace(args)
     state = CacheState(config, k)
     if args.warm:
@@ -563,68 +529,56 @@ def cmd_simulate(args) -> int:
     ev = expected_reads(geo.tag_bits, config.associativity, k)
     base = baseline_bits(geo.tag_bits, config.associativity)
     observed = stats.bits_per_access
-    relative_error = (observed - ev.total_bits) / ev.total_bits
+    cells = (
+        config.cache_size,
+        config.associativity,
+        config.address_bits,
+        config.block_size,
+        geo.tag_bits,
+        k,
+        stats.accesses,
+        stats.hits,
+        stats.misses,
+        stats.step1_bit_reads,
+        stats.step2_bit_reads,
+        stats.total_bit_reads,
+        observed,
+        ev.total_bits,
+        (observed - ev.total_bits) / ev.total_bits,
+        base,
+        observed / base,
+    )
+    row = dict.fromkeys(SIM_COLUMNS)
+    row.update(zip(SIM_COLUMNS, cells))
     _print_geometry(config, geo)
     print(f"k: {k}")
     print(f"warmed: {format_value(bool(args.warm))}")
-    print(f"accesses: {stats.accesses}")
-    print(f"hits: {stats.hits}")
-    print(f"misses: {stats.misses}")
-    print(f"step1_bit_reads: {stats.step1_bit_reads}")
-    print(f"step2_bit_reads: {stats.step2_bit_reads}")
-    print(f"total_bit_reads: {stats.total_bit_reads}")
-    print(f"bits_per_access: {format_value(observed)}")
-    print(f"analytic_bits_per_access: {format_value(ev.total_bits)}")
-    print(f"relative_error: {format_value(relative_error)}")
-    print(f"baseline_bits_per_access: {base}")
-    print(f"normalized_reads: {format_value(observed / base)}")
+    for name in _SIM_REPORT_COLUMNS:
+        print(f"{name}: {format_value(row[name])}")
     histogram = " ".join(
         f"{s}:{count}" for s, count in enumerate(stats.matched_way_histogram) if count
     )
     print(f"survivor_histogram: {histogram}")
     print("note: baseline is the same trace under a single-step comparison (k = n)")
-    row = {name: None for name in SIM_COLUMNS}
-    row.update(
-        cache_size=config.cache_size,
-        associativity=config.associativity,
-        address_bits=config.address_bits,
-        block_size=config.block_size,
-        tag_bits=geo.tag_bits,
-        k=k,
-        accesses=stats.accesses,
-        hits=stats.hits,
-        misses=stats.misses,
-        step1_bit_reads=stats.step1_bit_reads,
-        step2_bit_reads=stats.step2_bit_reads,
-        total_bit_reads=stats.total_bit_reads,
-        bits_per_access=observed,
-        analytic_bits_per_access=ev.total_bits,
-        relative_error=relative_error,
-        baseline_bits_per_access=base,
-        normalized_reads=observed / base,
-    )
     if args.params is not None:
         energy, reliab = load_params(args.params)
-        joules = energy_from_stats(stats, energy)
-        energy_ratio, mttf_ratio = normalized_metrics(
-            geo.tag_bits, config.associativity, k, energy, reliab, accesses=stats.accesses
+        energy_ratio, mttf_ratio = ratios_from_bits(
+            ev.total_bits * stats.accesses, base * stats.accesses, stats.accesses, energy
         )
-        run_reliability = reliability(stats.total_bit_reads, reliab)
-        mttf_seconds = mttf_from_bits(stats.total_bit_reads, reliab)
-        print(f"energy_joules: {format_value(joules)}")
+        row.update(
+            energy_joules=energy_from_stats(stats, energy),
+            energy_ratio=energy_ratio,
+            mttf_seconds=mttf_from_bits(stats.total_bit_reads, reliab),
+            mttf_ratio=mttf_ratio,
+        )
+        print(f"energy_joules: {format_value(row['energy_joules'])}")
         print(f"energy_ratio: {format_value(energy_ratio)}")
-        print(f"reliability: {format_value(run_reliability)}")
-        print(f"mttf_seconds: {format_value(mttf_seconds)}")
+        print(f"reliability: {format_value(reliability(stats.total_bit_reads, reliab))}")
+        print(f"mttf_seconds: {format_value(row['mttf_seconds'])}")
         print(f"mttf_ratio: {format_value(mttf_ratio)}")
         print(
             "note: reliability counts read disturbance only (independent per bit); "
             "retention and write failures are out of scope"
-        )
-        row.update(
-            energy_joules=joules,
-            energy_ratio=energy_ratio,
-            mttf_seconds=mttf_seconds,
-            mttf_ratio=mttf_ratio,
         )
     if args.out is not None:
         write_rows(args.out, SIM_COLUMNS, [row], args.format)
@@ -646,34 +600,30 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    points = [
+        _point(args.size, assoc, args.addr_bits, args.block) for assoc in sorted(set(args.assocs))
+    ]
+    ks = _k_ranges(args.k_range, {geo.tag_bits for _, geo in points})
     rows = []
-    for assoc in sorted(set(args.assocs)):
-        config = CacheConfig(
-            address_bits=args.addr_bits,
-            cache_size=args.size,
-            block_size=args.block,
-            associativity=assoc,
-        )
-        geo = derive_geometry(config)
-        base = baseline_bits(geo.tag_bits, assoc)
+    for config, geo in points:
+        n, assoc = geo.tag_bits, config.associativity
+        base = baseline_bits(n, assoc)
         config_id = f"{format_size(args.size)}-{assoc}w-{args.addr_bits}b"
-        low, high = args.k_range
-        for k in range(low, min(high, geo.tag_bits) + 1):
-            ev = expected_reads(geo.tag_bits, assoc, k)
-            rows.append(
-                {
-                    "config_id": config_id,
-                    "cache_size": args.size,
-                    "associativity": assoc,
-                    "address_bits": args.addr_bits,
-                    "block_size": args.block,
-                    "tag_bits": geo.tag_bits,
-                    "k": k,
-                    "step1_normalized": ev.first_step_bits / base,
-                    "step2_normalized": ev.expected_second_step_bits / base,
-                    "total_normalized": ev.total_bits / base,
-                }
+        for k in ks[n]:
+            ev = expected_reads(n, assoc, k)
+            cells = (
+                config_id,
+                args.size,
+                assoc,
+                args.addr_bits,
+                args.block,
+                n,
+                k,
+                ev.first_step_bits / base,
+                ev.expected_second_step_bits / base,
+                ev.total_bits / base,
             )
+            rows.append(dict(zip(CURVE_COLUMNS, cells)))
     write_rows(args.out, CURVE_COLUMNS, rows, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -3,8 +3,10 @@
 import collections
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +193,29 @@ class TestSweep:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="unexpected sweep header"):
             read_sweep_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:10], ", column k_optimal: missing"),
+            (lambda cells: cells[:15], ", column energy_ratio: missing"),
+            (lambda cells: cells + ["1"], ", column 18: a cell after mttf_ratio"),
+            (lambda cells: cells[:8] + ["x"] + cells[9:], ", column total_bits: could not convert"),
+            (lambda cells: cells[:4] + [""] + cells[5:], ", column tag_bits: invalid literal"),
+            (lambda cells: cells[:12] + ["True"] + cells[13:], ", column is_round_of_continuous:"),
+            (lambda cells: cells[:1] + ["3"] + cells[2:], ": associativity must be"),
+        ],
+        ids=["truncated", "truncated-optional", "extra-cell", "bad-float", "empty-int",
+             "bool-spelling", "bad-config"],
+    )
+    def test_read_back_names_the_line_and_column_of_malformed_rows(self, tmp_path, edit, message):
+        out = self.run(tmp_path)
+        lines = out.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_sweep_csv(out)
+        assert str(info.value).startswith(f"{out}, line 3{message}")
 
     def test_invalid_grid_entries_are_all_reported(self, tmp_path, capsys):
         code = main(
@@ -460,14 +485,28 @@ class TestCurves:
             total = float(row["step1_normalized"]) + float(row["step2_normalized"])
             assert float(row["total_normalized"]) == pytest.approx(total, rel=1e-12)
 
+    def test_k_range_beyond_every_tag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        code = main(
+            ["curves", "--size", "8M", "--assocs", "4", "--addr-bits", "32",
+             "--k-range", "1:12", "--out", str(out)]
+        )
+        assert code == 2
+        assert "exceeds the longest tag" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same tagsplit as this process, wherever that came from
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-m", "tagsplit.cli", "analyze",
              "--size", "1M", "--assoc", "8"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "tag_bits: 23" in proc.stdout

@@ -1,8 +1,12 @@
-"""Sweep outputs pinned byte for byte.
+"""CLI outputs pinned byte for byte.
 
-Each case in golden/sweep_cases.json is a sweep invocation whose output
-file and stdout were recorded once; a rerun must reproduce both exactly.
-A change that alters the bytes on purpose re-records them with
+Each case in golden/cases.json is an invocation whose stdout, and
+output file when it has an "out", were recorded once; a rerun must
+reproduce both exactly.  In a case's arguments "{out}" is the output
+path and "{golden}" this directory, which holds the committed inputs
+(parameter files, and the traces the gen-trace cases wrote, which the
+simulate cases read).  A change that alters the bytes on purpose
+re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,33 +22,49 @@ import pytest
 from tagsplit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = json.loads((GOLDEN / "sweep_cases.json").read_text(encoding="ascii"))
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="ascii"))
+SWEEPS = sorted(name for name in CASES if CASES[name]["args"][0] == "sweep")
+OTHERS = sorted(name for name in CASES if CASES[name]["args"][0] != "sweep")
 
 
 def run_case(name: str, out: Path) -> int:
     args = [
-        arg.replace("{out}", str(out)).replace("{params}", str(GOLDEN / "params.json"))
+        arg.replace("{out}", str(out)).replace("{golden}", str(GOLDEN))
         for arg in CASES[name]["args"]
     ]
     return main(args)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_sweep_output_matches_the_recorded_bytes(name, tmp_path, capsys):
-    out = tmp_path / CASES[name]["out"]
+def check_case(name: str, tmp_path: Path, capsys) -> None:
+    out = tmp_path / CASES[name].get("out", "unused")
     assert run_case(name, out) == 0
     stdout = (GOLDEN / f"{name}.stdout").read_text(encoding="ascii")
     assert capsys.readouterr().out == stdout.replace("{out}", str(out))
-    assert out.read_bytes() == (GOLDEN / CASES[name]["out"]).read_bytes()
+    if "out" in CASES[name]:
+        assert out.read_bytes() == (GOLDEN / CASES[name]["out"]).read_bytes()
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_output_matches_the_recorded_bytes(name, tmp_path, capsys):
+    check_case(name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", OTHERS)
+def test_command_output_matches_the_recorded_bytes(name, tmp_path, capsys):
+    check_case(name, tmp_path, capsys)
 
 
 def record() -> None:
-    """Rewrite every case's expected output file and stdout."""
+    """Rewrite every case's expected output file and stdout.
+
+    Cases run in name order, so gen-trace writes the traces before the
+    simulate cases read them.
+    """
     import contextlib
     import io
 
     for name in sorted(CASES):
-        out = GOLDEN / CASES[name]["out"]
+        out = GOLDEN / CASES[name].get("out", "unused")
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = run_case(name, out)
