@@ -396,7 +396,6 @@ def read_sweep_csv(path) -> list[SweepRow]:
     Malformed input raises ValueError naming the path, line and column.
     """
     rows = []
-    k_min_by_point: dict[tuple, int] = {}
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -420,22 +419,47 @@ def read_sweep_csv(path) -> list[SweepRow]:
             row = SweepRow(*values)
             try:
                 _, geo = _point(row.cache_size, row.associativity, row.address_bits, row.block_size)
+                ev = expected_reads(geo.tag_bits, row.associativity, row.k)
+                opt = k_min_integer(geo.tag_bits, row.associativity)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            ev = expected_reads(geo.tag_bits, row.associativity, row.k)
-            point = (row.cache_size, row.associativity, row.address_bits)
-            known_k_min = k_min_by_point.setdefault(point, row.k_min)
+            # the simulation and cost columns as the sweep computes them
+            sim_error = None
+            if row.sim_bits_per_access is not None:
+                sim_error = (row.sim_bits_per_access - ev.total_bits) / ev.total_bits
+            mttf_ratio = baseline_bits(geo.tag_bits, row.associativity) / ev.total_bits
             checks = (
                 ("tag_bits", geo.tag_bits == row.tag_bits),
+                ("first_step_bits", row.first_step_bits == row.k * row.associativity),
+                (
+                    "expected_second_step_bits",
+                    math.isclose(
+                        ev.expected_second_step_bits, row.expected_second_step_bits, rel_tol=1e-9
+                    ),
+                ),
                 ("total_bits", math.isclose(ev.total_bits, row.total_bits, rel_tol=1e-9)),
                 (
                     "reduction_ratio",
                     math.isclose(ev.reduction_ratio, row.reduction_ratio, rel_tol=1e-9),
                 ),
-                ("k_min constant per grid point", known_k_min == row.k_min),
+                ("k_optimal", math.isclose(opt.k_optimal, row.k_optimal, rel_tol=1e-9)),
+                ("k_min", opt.k_min == row.k_min),
                 (
                     "is_round_of_continuous",
                     row.is_round_of_continuous == (row.k_min == round(row.k_optimal)),
+                ),
+                (
+                    "sim_relative_error",
+                    (sim_error is None) == (row.sim_relative_error is None)
+                    and (
+                        sim_error is None
+                        or math.isclose(sim_error, row.sim_relative_error, rel_tol=1e-9)
+                    ),
+                ),
+                (
+                    "mttf_ratio",
+                    row.mttf_ratio is None
+                    or math.isclose(mttf_ratio, row.mttf_ratio, rel_tol=1e-9),
                 ),
             )
             for label, ok in checks:

@@ -6,12 +6,16 @@ Zipf distribution over block indices for a skewed working set.  All
 are deterministic for a given seed.
 
 Two interchange formats are supported: a text format with one
-lowercase hexadecimal byte address per line (optional 0x prefix, lines
-starting with # ignored) and a headerless binary format of little-
-endian unsigned 64-bit words.
+hexadecimal byte address per line (written in lower case without a
+prefix; read with an optional 0x/0X prefix, blank lines and # comment
+lines skipped) and a headerless binary format of little-endian
+unsigned 64-bit words.
 """
 
 from __future__ import annotations
+
+import os
+import re
 
 import numpy as np
 
@@ -31,6 +35,18 @@ __all__ = [
 TRACE_KINDS = ("uniform", "stride", "zipf-block")
 
 _WORD = np.dtype("<u8")
+
+# bytes read per block by read_trace_text
+_TEXT_CHUNK = 1 << 16
+
+# translation table from a byte to its hex value; 16 marks a byte that is
+# not a hex digit
+_NIBBLE = bytes(
+    int(c, 16) if c in "0123456789abcdefABCDEF" else 16 for c in map(chr, range(256))
+)
+# _LOW_BYTES[m] keeps the low m bytes of a word
+_LOW_BYTES = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
+_ADDRESS = re.compile(rb"(?:0[xX])?([0-9a-fA-F]+)")
 
 
 class TraceParseError(ValueError):
@@ -131,27 +147,109 @@ def write_trace_text(path, addresses) -> None:
         fh.writelines(f"{int(a):x}\n" for a in arr)
 
 
+def _newlines(block: bytes) -> bytes:
+    return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
+
+
+def _line_blocks(fh):
+    """The file in blocks of whole lines, each line ending in a single b"\\n".
+
+    \\r\\n and a lone \\r end a line too, as in text mode; both become
+    b"\\n".  A block is one read of _TEXT_CHUNK bytes up to its last line
+    end, after the unfinished line the reads before it carried over.
+    """
+    tail = []  # the unfinished line, in the pieces read so far
+    while chunk := fh.read(_TEXT_CHUNK):
+        # a final \r may be the first half of a \r\n that the next read completes
+        end = len(chunk) - chunk.endswith(b"\r")
+        cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+        if cut:
+            tail.append(chunk[:cut])
+            yield _newlines(b"".join(tail))
+            tail = [chunk[cut:]]
+        else:
+            tail.append(chunk)
+    last = b"".join(tail)
+    if last:
+        # the \n ends the last line, or completes its final \r\n
+        yield _newlines(last + b"\n")
+
+
+def _parse_line(raw: bytes, path, lineno: int):
+    """The address on one line, or None for a blank or comment line."""
+    if not raw.isascii():
+        raise TraceParseError(f"{path}: line {lineno}: not an ASCII line: {raw!r}")
+    line = raw.strip()
+    if not line or line.startswith(b"#"):
+        return None
+    match = _ADDRESS.fullmatch(line)
+    text = line.decode("ascii")
+    if match is None:
+        raise TraceParseError(f"{path}: line {lineno}: not a hexadecimal address: {text!r}")
+    value = int(match[1], 16)
+    if value >= 1 << 64:
+        raise TraceParseError(f"{path}: line {lineno}: address {text!r} does not fit in 64 bits")
+    return value
+
+
+def _pack_nibbles(words: np.ndarray) -> np.ndarray:
+    """The 32-bit values spelled by eight hex digit values per word, one
+    per byte, the most significant byte first."""
+    words = (words | (words >> 4)) & 0x00FF00FF00FF00FF
+    words = (words | (words >> 8)) & 0x0000FFFF0000FFFF
+    return (words | (words >> 16)) & 0xFFFFFFFF
+
+
+def _block_words(block: bytes, path, first_line: int) -> np.ndarray:
+    """The addresses of one block from _line_blocks; first_line numbers its first line.
+
+    A line of an optional 0x/0X and 1-16 hex digits is decoded with array
+    operations: the hex values of the 16 bytes before its newline are
+    read as two big-endian words, the bytes before its digits are masked
+    off, and each word's eight digit values are packed into 32 bits.
+    Every other line goes through _parse_line.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # the byte after each line's first; for an empty line, its own newline
+    prefixed = (buf[starts] == ord("0")) & ((buf[np.minimum(starts + 1, ends)] | 0x20) == ord("x"))
+    digits = ends - starts - 2 * prefixed
+    # windows[i] is the big-endian word of the hex values of bytes i - 16 .. i - 9
+    padded = bytes(16) + block.translate(_NIBBLE)
+    windows = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    high = windows[ends].astype(np.uint64) & _LOW_BYTES[np.clip(digits - 8, 0, 8)]
+    low = windows[ends + 8].astype(np.uint64) & _LOW_BYTES[np.clip(digits, 0, 8)]
+    # a hex digit's value has no high nibble; 16 marks any other byte
+    fast = (((high | low) & 0xF0F0F0F0F0F0F0F0) == 0) & (digits >= 1) & (digits <= 16)
+    words = (_pack_nibbles(high) << 32) | _pack_nibbles(low)
+    if fast.all():
+        return words
+    for i in np.flatnonzero(~fast).tolist():
+        value = _parse_line(block[starts[i] : ends[i]], path, first_line + i)
+        if value is not None:
+            words[i] = value
+            fast[i] = True
+    return words[fast]
+
+
 def read_trace_text(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = int(line, 16)
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: not a hexadecimal address: {line!r}"
-                ) from None
-            if value >= 1 << 64:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: address {line!r} does not fit in 64 bits"
-                )
-            values.append(value)
-    if not values:
+    """The addresses of a text trace (see README "Text traces").
+
+    The file is read in blocks of _TEXT_CHUNK bytes, so besides the
+    result (8 bytes per address) it needs memory for one block.
+    Malformed input raises TraceParseError naming the path and line.
+    """
+    parts = []
+    lines = 0
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            parts.append(_block_words(block, path, lines + 1))
+            lines += block.count(b"\n")
+    trace = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    if not trace.size:
         raise TraceParseError(f"{path}: no addresses found")
-    return np.array(values, dtype=np.uint64)
+    return trace
 
 
 def write_trace_binary(path, addresses) -> None:
@@ -162,11 +260,15 @@ def write_trace_binary(path, addresses) -> None:
 
 def read_trace_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
-        raise TraceParseError(f"{path}: empty trace file")
-    if len(data) % _WORD.itemsize:
-        raise TraceParseError(
-            f"{path}: size {len(data)} is not a multiple of {_WORD.itemsize} bytes"
-        )
-    return np.frombuffer(data, dtype=_WORD).copy()
+        size = os.fstat(fh.fileno()).st_size
+        if not size:
+            raise TraceParseError(f"{path}: empty trace file")
+        if size % _WORD.itemsize:
+            raise TraceParseError(
+                f"{path}: size {size} is not a multiple of {_WORD.itemsize} bytes"
+            )
+        trace = np.empty(size // _WORD.itemsize, dtype=_WORD)
+        read = fh.readinto(trace)
+    if read != size:
+        raise TraceParseError(f"{path}: read {read} of {size} bytes; the file shrank while read")
+    return trace

@@ -188,6 +188,34 @@ class TestSweep:
         with pytest.raises(ValueError, match="self-check: total_bits"):
             read_sweep_csv(out)
 
+    # an edit per column that follows from the row's other cells
+    DERIVED_EDITS = {
+        "first_step_bits": lambda value: value + 1,
+        "expected_second_step_bits": lambda value: value * (1 + 1e-6),
+        "k_optimal": lambda value: value + 0.01,  # k_min still its rounding
+        "k_min": lambda value: value + 1,
+        "sim_relative_error": lambda value: value + 1e-3,
+        "mttf_ratio": lambda value: value * (1 + 1e-6),
+    }
+
+    @pytest.mark.parametrize("column", DERIVED_EDITS)
+    def test_read_back_rejects_edited_derived_columns(self, tmp_path, column):
+        out = tmp_path / "sim.csv"
+        args = ["sweep", "--sizes", "64K", "--assocs", "4", "--addr-bits", "32",
+                "--k-range", "2:4", "--simulate", "--trace-length", "300",
+                "--params", params_file(tmp_path), "--out", str(out)]
+        assert main(args) == 0
+        assert len(read_sweep_csv(out)) == 3
+        lines = out.read_text().splitlines()
+        cells = lines[2].split(",")
+        index = SWEEP_COLUMNS.index(column)
+        cells[index] = format_value(self.DERIVED_EDITS[column](float(cells[index])))
+        lines[2] = ",".join(cells)
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_sweep_csv(out)
+        assert str(info.value) == f"{out}, line 3 fails self-check: {column}"
+
     def test_read_back_rejects_foreign_headers(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -458,6 +486,12 @@ class TestSimulate:
     def test_trace_and_gen_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", *self.CONFIG, "--trace", "x.trace", "--gen", "uniform"])
+
+    def test_a_signed_trace_line_exits_2_naming_the_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text("40\n-1\n")
+        assert main(["simulate", *self.CONFIG, "--trace", str(trace)]) == 2
+        assert f"{trace}: line 2: " in capsys.readouterr().err
 
     def test_unknown_trace_extension_exits_2(self, capsys):
         code = main(["simulate", *self.CONFIG, "--trace", "mystery.dat"])

@@ -1,8 +1,15 @@
 """Synthetic trace generators and the two trace file formats."""
 
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tagsplit import traces
 from tagsplit.traces import (
     TraceParseError,
     generate_trace,
@@ -111,6 +118,119 @@ class TestTextFormat:
         path.write_text("# nothing here\n")
         with pytest.raises(TraceParseError, match="no addresses"):
             read_trace_text(path)
+
+    def test_accepts_padding_leading_zeros_and_every_line_end(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_bytes(
+            b" \t0XfF\r\n\r\n  # comment\r" + b"0" * 4 + b"f" * 16 + b"\n0x0\v\r\n1"
+        )
+        assert read_trace_text(path).tolist() == [0xFF, (1 << 64) - 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"-1", b"+ff", b"f_f", b"0x_1", b"0x", b"0X", b"1 2", b"0xx1", b"ff#", b"\xc3\xa9",
+         b"# caf\xc3\xa9", b"0\x00"],
+        ids=["minus", "plus", "underscore", "prefix-underscore", "bare-0x", "bare-0X",
+             "inner-space", "double-x", "trailing-hash", "non-ascii", "non-ascii-comment", "nul"],
+    )
+    def test_rejects_what_the_grammar_does_not_allow(self, tmp_path, line):
+        path = tmp_path / "t.trace"
+        path.write_bytes(b"40\r\n" + line + b"\r\n7\n")
+        with pytest.raises(TraceParseError, match=f"^{re.escape(str(path))}: line 2: "):
+            read_trace_text(path)
+
+    def test_names_an_error_line_past_the_first_block(self, tmp_path):
+        path = tmp_path / "t.trace"
+        lines = [f"0x{a:x}" for a in range(3 * traces._TEXT_CHUNK // 4)]
+        lines[-2] = "-1"
+        path.write_text("\n".join(lines))
+        with pytest.raises(TraceParseError, match=f": line {len(lines) - 1}: "):
+            read_trace_text(path)
+
+
+def reference_read_text(path):
+    """The addresses of a text trace by the per-line rule, or the line of its first error.
+
+    This is the strip / int(line, 16) loop over text-mode lines that the
+    reader used to be, with the signs and underscores that int() accepts
+    and non-ASCII lines rejected.  Returns a list of ints, or
+    ("error", line number) with None for a file without addresses.
+    """
+    values = []
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not raw.isascii():
+                return ("error", lineno)
+            if not line or line.startswith("#"):
+                continue
+            if any(c in line for c in "+-_"):
+                return ("error", lineno)
+            try:
+                value = int(line, 16)
+            except ValueError:
+                return ("error", lineno)
+            if value >= 1 << 64:
+                return ("error", lineno)
+            values.append(value)
+    return values or ("error", None)
+
+
+def read_text_outcome(path):
+    try:
+        trace = read_trace_text(path)
+    except TraceParseError as exc:
+        line = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+        return ("error", int(line[1]) if line else None)
+    assert trace.dtype == np.uint64
+    return trace.tolist()
+
+
+def address_line(value, prefix, upper, width, padding):
+    return padding[0] + prefix + format(value, f"0{width}{'X' if upper else 'x'}") + padding[1]
+
+
+ADDRESS_LINES = st.builds(
+    address_line,
+    st.one_of(
+        st.integers(0, (1 << 64) - 1),
+        st.integers(0, 1 << 20),
+        st.sampled_from([(1 << 64) - 1, 1 << 64, (1 << 68) - 1]),
+    ),
+    st.sampled_from(["", "", "0x", "0X"]),
+    st.booleans(),
+    st.integers(0, 20),  # zero-padded to this many digits
+    st.sampled_from([("", "")] * 4 + [(" ", ""), ("\t", " "), ("", "  "), ("\v", "\f")]),
+)
+
+TEXT_LINES = st.one_of(
+    ADDRESS_LINES,
+    ADDRESS_LINES,
+    ADDRESS_LINES,
+    st.sampled_from(["", " ", "\t", "# comment", "  # indented comment", "#"]),
+    st.sampled_from(["-1", "+ff", "f_f", "0x", "1 2", "g", "0x-1", "\xe9"]),
+)
+
+
+class TestTextDifferential:
+    """The chunked reader against the per-line reference, at block sizes that split lines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(TEXT_LINES, min_size=0, max_size=60),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=60, max_size=60),
+        final_end=st.booleans(),
+        chunk=st.sampled_from([1, 7, 64, traces._TEXT_CHUNK]),
+    )
+    def test_reader_matches_the_per_line_reference(self, lines, ends, final_end, chunk):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not final_end:
+            text = text[: -len(ends[len(lines) - 1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.trace"
+            path.write_bytes(text.encode("latin-1"))
+            with mock.patch.object(traces, "_TEXT_CHUNK", chunk):
+                assert read_text_outcome(path) == reference_read_text(path)
 
 
 class TestBinaryFormat:
