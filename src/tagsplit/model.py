@@ -16,6 +16,7 @@ the expected-cost function, and its first and second derivatives in k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,12 +137,17 @@ def _binomial_mean_matches(ways: int, k: int) -> float:
     # Literal binomial expectation sum(i * C(x, i) * p**i * q**(x-i)).
     # Terms are built from the ratio recurrence in floating point:
     # C(512, 256) overflows any fixed-width integer path, while the
-    # recurrence keeps every intermediate within double range.
+    # recurrence keeps every intermediate within double range.  Its
+    # first term q**x is subnormal or zero from 1,024 ways at k = 1,
+    # where the recurrence would lose the whole sum, so the binomial
+    # mean x*p is returned there instead.
     p = 2.0 ** -k
     if p == 1.0:
         return float(ways)
     q = 1.0 - p
     term = q ** ways
+    if term < sys.float_info.min:
+        return ways * p
     ratio = p / q
     mean = 0.0
     for i in range(1, ways + 1):

@@ -7,9 +7,9 @@ The argument 2**n * e overflows doubles long before n reaches 128, so
 the solver works on logarithms throughout: it finds w from
 w + ln w = n*ln2 + 1 and never materializes 2**n * e.
 
-The best integer splitting point is found by exhaustive comparison of
-the expected totals; convexity confines it to the floor or ceiling of
-the continuous optimum, which is asserted.
+The best integer splitting point is found once per tag length by
+exhaustive comparison of the per-way totals; convexity confines it to
+the floor or ceiling of the continuous optimum, which is asserted.
 """
 
 from __future__ import annotations
@@ -94,25 +94,24 @@ def _per_way_argmin(tag_bits: int) -> tuple[int, float]:
 
 @lru_cache(maxsize=None)
 def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
-    """Best integer splitting point by exhaustive comparison.
+    """Best integer splitting point: the per-tag-length argmin.
 
-    Ties are broken toward the smaller k.  The argmin is evaluated once
-    per tag length, on the per-way totals k + (n-k)/2**k, which are
-    exact in binary floating point near the minimum, so exact ties (n of
-    the form 2**(k+1) + k - 1) break deterministically; the given
-    associativity is then asserted to yield the same minimizer within
-    rounding slack.
+    Associativity only scales the cost, so the argmin is taken once per
+    tag length on the per-way totals k + (n-k)/2**k, ties broken toward
+    the smaller k.  The cost is convex, so a point no higher than its
+    two neighbours is the minimum: only k_min - 1 and k_min + 1 are
+    checked at the given associativity, within rounding slack.
     """
     best_k, k_opt = _per_way_argmin(tag_bits)
     chosen = expected_reads(tag_bits, ways, best_k)
-    scaled_minimum = min(
-        expected_reads(tag_bits, ways, k).total_bits for k in range(tag_bits + 1)
-    )
-    if chosen.total_bits > scaled_minimum + 1e-12 * tag_bits * ways:
-        raise AssertionError(
-            f"argmin for ways={ways} deviated from the per-way argmin at "
-            f"tag_bits={tag_bits}; associativity must scale the cost uniformly"
-        )
+    for k in (best_k - 1, best_k + 1):
+        if 0 <= k <= tag_bits and chosen.total_bits > (
+            expected_reads(tag_bits, ways, k).total_bits + 1e-12 * tag_bits * ways
+        ):
+            raise AssertionError(
+                f"argmin for ways={ways} deviated from the per-way argmin at "
+                f"tag_bits={tag_bits}; associativity must scale the cost uniformly"
+            )
     return OptimumResult(
         k_optimal=k_opt,
         k_min=best_k,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tagsplit.model import (
     CacheConfig,
@@ -21,7 +21,7 @@ from tagsplit.model import (
 KB = 1024
 MB = 1024 * 1024
 
-POW2_WAYS = [2, 4, 8, 16, 32, 64, 128, 256, 512]
+POW2_WAYS = [2 ** i for i in range(1, 13)]
 
 tag_bits_st = st.integers(min_value=8, max_value=64)
 ways_st = st.sampled_from(POW2_WAYS)
@@ -118,11 +118,15 @@ class TestExpectedMatchedWays:
             assert expected_matched_ways(1, k) == 2.0 ** -k
 
     @given(ways=ways_st, k=st.integers(min_value=0, max_value=64))
+    @example(ways=2048, k=1)
+    @example(ways=4096, k=2)
     def test_bounds(self, ways, k):
         mean = expected_matched_ways(ways, k)
         assert 0.0 <= mean <= ways
 
     @given(ways=ways_st, k=st.integers(min_value=0, max_value=64))
+    @example(ways=2048, k=1)  # the recurrence's first term q**ways is 0.0 here
+    @example(ways=4096, k=2)
     def test_matches_closed_form(self, ways, k):
         assert expected_matched_ways(ways, k) == pytest.approx(ways * 2.0 ** -k, rel=1e-12)
 

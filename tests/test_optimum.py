@@ -1,10 +1,13 @@
 """Optimum splitting point: log-domain Lambert solver and integer argmin."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tagsplit import optimum
+from tagsplit.cli import main
 from tagsplit.model import LN2, expected_reads, first_derivative
 from tagsplit.optimum import (
     convexity_certificate,
@@ -13,6 +16,17 @@ from tagsplit.optimum import (
     lambert_w_log,
     round_function_report,
 )
+
+
+POW2_WAYS = [2 ** i for i in range(13)]
+
+
+@pytest.fixture
+def uncached_argmin():
+    """k_min_integer with an empty cache, so a patched model is evaluated."""
+    k_min_integer.cache_clear()
+    yield
+    k_min_integer.cache_clear()
 
 
 def bisect_w(ln_z, iterations=200):
@@ -128,13 +142,64 @@ class TestIntegerArgmin:
             totals = [expected_reads(n, 1, k).total_bits for k in range(n + 1)]
             assert totals[result.k_min] == min(totals)
 
-    @given(
-        tag_bits=st.integers(min_value=2, max_value=128),
-        ways=st.sampled_from([1, 2, 8, 64, 512]),
-    )
-    @settings(max_examples=200)
-    def test_independent_of_associativity(self, tag_bits, ways):
-        assert k_min_integer(tag_bits, ways).k_min == k_min_integer(tag_bits, 1).k_min
+    def test_independent_of_associativity(self):
+        # convexity lets k_min_integer compare k_min with its two neighbours
+        # only; this is the scan over every k that the comparison stands for
+        for n in range(2, 129):
+            k_min = k_min_integer(n, 1).k_min
+            for ways in POW2_WAYS:
+                result = k_min_integer(n, ways)
+                assert result.k_min == k_min
+                scan = min(expected_reads(n, ways, k).total_bits for k in range(n + 1))
+                assert result.total_at_k_min <= scan + 1e-12 * n * ways
+
+    @pytest.mark.parametrize("tag_bits,ways", [(2, 8), (23, 8), (69, 512), (128, 4096)])
+    def test_at_most_three_evaluations_per_associativity(
+        self, monkeypatch, uncached_argmin, tag_bits, ways
+    ):
+        k_min_integer(tag_bits, 1)  # caches the per-tag-length scan
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return expected_reads(*args)
+
+        monkeypatch.setattr(optimum, "expected_reads", counting)
+        k_min_integer(tag_bits, ways)
+        assert 1 <= len(calls) <= 3
+        assert {args[1] for args in calls} == {ways}
+
+    @staticmethod
+    def lower_neighbour(monkeypatch, neighbour, below):
+        """Make k = neighbour cost `below` less than k_min = 4 at 23 tag bits, 8 ways."""
+        at_k_min = expected_reads(23, 8, 4).total_bits
+
+        def patched(tag_bits, ways, k):
+            ev = expected_reads(tag_bits, ways, k)
+            if (tag_bits, ways, k) == (23, 8, neighbour):
+                return dataclasses.replace(ev, total_bits=at_k_min - below)
+            return ev
+
+        monkeypatch.setattr(optimum, "expected_reads", patched)
+
+    @pytest.mark.parametrize("neighbour", [3, 5])
+    def test_a_lower_neighbour_fails_the_check(
+        self, monkeypatch, uncached_argmin, capsys, neighbour
+    ):
+        # the slack is 1e-12 * 23 * 8, about 1.8e-10 bits
+        self.lower_neighbour(monkeypatch, neighbour, 1e-9)
+        with pytest.raises(AssertionError, match="ways=8 deviated"):
+            k_min_integer(23, 8)
+        # 1M, 8 ways, 40-bit addresses: 23 tag bits
+        assert main(["analyze", "--size", "1M", "--assoc", "8", "--addr-bits", "40"]) == 4
+        assert "internal invariant violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("neighbour", [3, 5])
+    def test_a_neighbour_lower_within_the_slack_passes(
+        self, monkeypatch, uncached_argmin, neighbour
+    ):
+        self.lower_neighbour(monkeypatch, neighbour, 1e-11)
+        assert k_min_integer(23, 8).k_min == 4
 
 
 class TestConvexityAndRounding:
