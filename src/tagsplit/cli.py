@@ -23,13 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .costs import (
-    energy_from_stats,
-    load_params,
-    mttf_from_bits,
-    ratios_from_bits,
-    reliability,
-)
+from .costs import load_params, mttf_from_bits, ratios_from_bits, reliability, tag_energy
 from .model import CacheConfig, baseline_bits, derive_geometry, expected_reads
 from .optimum import k_min_integer, k_optimal_continuous
 from .sim import CacheState, run_trace, warm_fill
@@ -290,7 +284,7 @@ _SIM_COLUMNS = SWEEP_COLUMNS[13:15]
 _COST_COLUMNS = SWEEP_COLUMNS[15:]
 
 
-def _split_runs(tag_bits: int, ways: int, ks: range, encode, energy) -> list[tuple]:
+def _split_runs(tag_bits: int, ways: int, ks: range, encode, params) -> list[tuple]:
     """(SplitEval, split run, cost run) of one (tag_bits, ways) pair per k."""
     opt = k_min_integer(tag_bits, ways)
     is_round = opt.k_min == round(opt.k_optimal)
@@ -309,15 +303,15 @@ def _split_runs(tag_bits: int, ways: int, ks: range, encode, energy) -> list[tup
             is_round,
         )
         costs = (None, None)
-        if energy is not None:
-            costs = ratios_from_bits(ev.total_bits, base, 1, energy)
+        if params is not None:
+            costs = ratios_from_bits(ev.total_bits, base, 1, params)
         runs.append(
             (ev, encode(dict(zip(_SPLIT_COLUMNS, split))), encode(dict(zip(_COST_COLUMNS, costs))))
         )
     return runs
 
 
-def evaluate_sweep(args, encode, energy=None):
+def evaluate_sweep(args, encode, params=None):
     """Sweep rows sorted by (cache_size, associativity, address_bits, k).
 
     Each row is a tuple of four runs of consecutive SWEEP_COLUMNS (the
@@ -326,7 +320,7 @@ def evaluate_sweep(args, encode, energy=None):
     splitting-point and cost runs depend only on (tag_bits,
     associativity, k), so each is built and encoded once and shared by
     every grid point with that pair.  The cost ratios are filled in
-    when energy parameters are given.
+    when cost parameters are given.
 
     args holds the parsed sweep flags.  The grid is validated, every
     pair evaluated and every trace generated before this returns.  The
@@ -339,7 +333,7 @@ def evaluate_sweep(args, encode, energy=None):
     for config, geo in points:
         pair = (geo.tag_bits, config.associativity)
         if pair not in pairs:
-            pairs[pair] = _split_runs(*pair, ks[geo.tag_bits], encode, energy)
+            pairs[pair] = _split_runs(*pair, ks[geo.tag_bits], encode, params)
     traces = {}
     if args.simulate:
         for addr in sorted(set(args.addr_bits)):
@@ -507,10 +501,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the MTTF ratio is the bit-read ratio, so it needs no reliability parameters
-    energy = load_params(args.params)[0] if args.params is not None else None
+    params = load_params(args.params) if args.params is not None else None
     count = _write_lines(
-        args.out, SWEEP_COLUMNS, args.format, lambda encode: evaluate_sweep(args, encode, energy)
+        args.out, SWEEP_COLUMNS, args.format, lambda encode: evaluate_sweep(args, encode, params)
     )
     print(f"wrote {count} rows to {args.out}")
     return 0
@@ -530,19 +523,25 @@ def _generate(kind: str, args):
     return generate_trace(kind, args.length, args.seed, **params)
 
 
+def _is_binary_trace(path: str) -> bool:
+    """True for a binary (.bin) trace path, False for a text (.trace/.txt) one."""
+    if path.endswith(".bin"):
+        return True
+    if path.endswith((".trace", ".txt")):
+        return False
+    raise ValueError(f"cannot infer trace format from {path!r}; use .trace/.txt or .bin")
+
+
 def _load_trace(args):
-    if args.trace is not None:
-        if args.trace.endswith(".bin"):
-            return read_trace_binary(args.trace)
-        if args.trace.endswith((".trace", ".txt")):
-            return read_trace_text(args.trace)
-        raise ValueError(
-            f"cannot infer trace format from {args.trace!r}; use .trace/.txt or .bin"
-        )
-    return _generate(args.gen, args)
+    if args.trace is None:
+        return _generate(args.gen, args)
+    if _is_binary_trace(args.trace):
+        return read_trace_binary(args.trace)
+    return read_trace_text(args.trace)
 
 
 def cmd_simulate(args) -> int:
+    params = load_params(args.params) if args.params is not None else None
     config, geo, _, k = _configure(args)
     trace = _load_trace(args)
     state = CacheState(config, k)
@@ -584,20 +583,19 @@ def cmd_simulate(args) -> int:
     )
     print(f"survivor_histogram: {histogram}")
     print("note: baseline is the same trace under a single-step comparison (k = n)")
-    if args.params is not None:
-        energy, reliab = load_params(args.params)
+    if params is not None:
         energy_ratio, mttf_ratio = ratios_from_bits(
-            ev.total_bits * stats.accesses, base * stats.accesses, stats.accesses, energy
+            ev.total_bits * stats.accesses, base * stats.accesses, stats.accesses, params
         )
         row.update(
-            energy_joules=energy_from_stats(stats, energy),
+            energy_joules=tag_energy(stats.total_bit_reads, stats.accesses, params),
             energy_ratio=energy_ratio,
-            mttf_seconds=mttf_from_bits(stats.total_bit_reads, reliab),
+            mttf_seconds=mttf_from_bits(stats.total_bit_reads, params),
             mttf_ratio=mttf_ratio,
         )
         print(f"energy_joules: {format_value(row['energy_joules'])}")
         print(f"energy_ratio: {format_value(energy_ratio)}")
-        print(f"reliability: {format_value(reliability(stats.total_bit_reads, reliab))}")
+        print(f"reliability: {format_value(reliability(stats.total_bit_reads, params))}")
         print(f"mttf_seconds: {format_value(row['mttf_seconds'])}")
         print(f"mttf_ratio: {format_value(mttf_ratio)}")
         print(
@@ -610,15 +608,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
+    binary = _is_binary_trace(args.out)
     trace = _generate(args.kind, args)
-    if args.out.endswith(".bin"):
+    if binary:
         write_trace_binary(args.out, trace)
-    elif args.out.endswith((".trace", ".txt")):
-        write_trace_text(args.out, trace)
     else:
-        raise ValueError(
-            f"cannot infer trace format from {args.out!r}; use .trace/.txt or .bin"
-        )
+        write_trace_text(args.out, trace)
     print(f"wrote {len(trace)} addresses to {args.out}")
     return 0
 

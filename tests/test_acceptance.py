@@ -13,10 +13,11 @@ import time
 import pytest
 
 from tagsplit.cli import main
-from tagsplit.costs import EnergyParams, ReliabilityParams, normalized_metrics
+from tagsplit.costs import CostParams, ratios_from_bits
 from tagsplit.model import (
     LN2,
     CacheConfig,
+    baseline_bits,
     derive_geometry,
     expected_reads,
 )
@@ -198,8 +199,22 @@ def test_criterion_07_hit_miss_invariance(announce):
 
 def test_criterion_08_cost_model_duality(announce):
     """Pure bit-read costing makes energy and MTTF ratios exact reciprocals."""
-    energy = EnergyParams(energy_per_bit_read=2e-12)
-    reliab = ReliabilityParams(p_read_disturb=1e-12, execution_time=1.0)
+    params = CostParams(
+        energy_per_bit_read=2e-12,
+        fixed_energy_per_access=0.0,
+        leakage_power=0.0,
+        execution_time=1.0,
+        p_read_disturb=1e-12,
+    )
+
+    def ratios(tag_bits, ways, k):
+        return ratios_from_bits(
+            expected_reads(tag_bits, ways, k).total_bits,
+            baseline_bits(tag_bits, ways),
+            1,
+            params,
+        )
+
     rng = random.Random(20210907)
     worst = 0.0
     for _ in range(10):
@@ -211,11 +226,9 @@ def test_criterion_08_cost_model_duality(announce):
         )
         geo = derive_geometry(config)
         k = rng.randint(1, min(10, geo.tag_bits))
-        energy_ratio, mttf_ratio = normalized_metrics(
-            geo.tag_bits, config.associativity, k, energy, reliab
-        )
+        energy_ratio, mttf_ratio = ratios(geo.tag_bits, config.associativity, k)
         worst = max(worst, abs(energy_ratio * mttf_ratio - 1.0))
-    _, reference_mttf = normalized_metrics(23, 8, 4, energy, reliab)
+    _, reference_mttf = ratios(23, 8, 4)
     announce(
         8,
         f"max |energy_ratio*mttf_ratio - 1| = {worst:.3e} over 10 random "

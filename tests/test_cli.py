@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tagsplit import cli, costs
+from tagsplit import cli
 from tagsplit.optimum import k_min_integer
 from tagsplit.cli import (
     CURVE_COLUMNS,
@@ -51,10 +51,13 @@ def reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def params_file(tmp_path) -> str:
+def params_file(tmp_path, **changes) -> str:
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(PARAMS))
+    path.write_text(json.dumps(dict(PARAMS, **changes)))
     return str(path)
+
+
+ZERO_ENERGY = dict(energy_per_bit_read=0.0, fixed_energy_per_access=0.0, leakage_power=0.0)
 
 
 class TestParsers:
@@ -286,7 +289,6 @@ class TestSweep:
 
         model_expected_reads = cli.expected_reads
         monkeypatch.setattr(cli, "expected_reads", counting)
-        monkeypatch.setattr(costs, "expected_reads", counting)
         out = tmp_path / "out.csv"
         args = ["sweep", "--sizes", "256K,1M", "--assocs", "4,8", "--addr-bits", "42,44",
                 "--k-range", "1:6", "--params", params_file(tmp_path), "--out", str(out)]
@@ -334,6 +336,15 @@ class TestSweep:
         for row in read_sweep_csv(out):
             assert row.energy_ratio is not None and row.mttf_ratio is not None
             assert row.energy_ratio * row.mttf_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_params_without_any_energy_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        args = self.ARGS + ["--params", params_file(tmp_path, **ZERO_ENERGY), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        for key in ZERO_ENERGY:
+            assert key in err
+        assert not out.exists()
 
     def test_simulation_columns(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -400,6 +411,17 @@ class TestGenTrace:
         )
         assert code == 2
         assert "cannot infer trace format" in capsys.readouterr().err
+
+    def test_unknown_extension_is_rejected_before_generating(self, tmp_path, monkeypatch, capsys):
+        def generate(*args, **params):
+            raise AssertionError("generated a trace for an unusable output path")
+
+        monkeypatch.setattr(cli, "generate_trace", generate)
+        out = tmp_path / "t.csv"
+        code = main(["gen-trace", "--kind", "uniform", "--length", "10", "--out", str(out)])
+        assert code == 2
+        assert f"cannot infer trace format from {str(out)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -482,6 +504,32 @@ class TestSimulate:
         assert tuple(row) == SIM_COLUMNS
         assert row["mttf_seconds"] == "inf"
         assert row["accesses"] == 1000
+
+    def test_params_without_any_energy_exit_2_before_any_output(self, tmp_path, capsys):
+        params = params_file(tmp_path, **ZERO_ENERGY)
+        code = main(["simulate", *self.CONFIG, "--gen", "uniform", "--length", "100",
+                     "--params", params])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leakage_power" in captured.err
+
+    def test_a_missing_params_file_exits_3_before_the_trace_is_made(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def generate(*args, **params):
+            raise AssertionError("generated a trace before reading the parameters")
+
+        monkeypatch.setattr(cli, "generate_trace", generate)
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", *self.CONFIG, "--gen", "uniform", "--length", "100",
+                     "--params", str(missing), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(missing) in captured.err
+        assert not out.exists()
 
     def test_trace_and_gen_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
