@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .costs import load_params, mttf_from_bits, ratios_from_bits, reliability, tag_energy
-from .model import CacheConfig, baseline_bits, derive_geometry, expected_reads
+from .model import CacheConfig, baseline_bits, expected_reads
 from .optimum import k_min_integer, k_optimal_continuous
 from .sim import CacheState, run_trace, warm_fill
 from .traces import (
@@ -223,16 +223,8 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
     )
 
 
-def _point(size: int, assoc: int, addr_bits: int, block: int):
-    """The validated configuration and its geometry."""
-    config = CacheConfig(
-        address_bits=addr_bits, cache_size=size, block_size=block, associativity=assoc
-    )
-    return config, derive_geometry(config)
-
-
 def _grid_points(args):
-    """Validated (config, geometry) pairs of a sweep grid in output order, or all errors."""
+    """Validated configurations of a sweep grid in output order, or all errors."""
     points = []
     errors = []
     for size in sorted(set(args.sizes)):
@@ -240,7 +232,7 @@ def _grid_points(args):
             for addr in sorted(set(args.addr_bits)):
                 label = f"size={size} assoc={assoc} addr_bits={addr} block={args.block}"
                 try:
-                    points.append(_point(size, assoc, addr, args.block))
+                    points.append(CacheConfig(addr, size, args.block, assoc))
                 except ValueError as exc:
                     errors.append(f"{label}: {exc}")
     if errors:
@@ -328,12 +320,12 @@ def evaluate_sweep(args, encode, params=None):
     args.simulate, each row is simulated as it is produced.
     """
     points = _grid_points(args)
-    ks = _k_ranges(args.k_range, {geo.tag_bits for _, geo in points})
+    ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
     pairs = {}
-    for config, geo in points:
-        pair = (geo.tag_bits, config.associativity)
+    for config in points:
+        pair = (config.tag_bits, config.associativity)
         if pair not in pairs:
-            pairs[pair] = _split_runs(*pair, ks[geo.tag_bits], encode, params)
+            pairs[pair] = _split_runs(*pair, ks[config.tag_bits], encode, params)
     traces = {}
     if args.simulate:
         for addr in sorted(set(args.addr_bits)):
@@ -346,16 +338,16 @@ def evaluate_sweep(args, encode, params=None):
 
 def _sweep_rows(points, pairs, traces, encode):
     no_sim = encode(dict.fromkeys(_SIM_COLUMNS))
-    for config, geo in points:
+    for config in points:
         cells = (
             config.cache_size,
             config.associativity,
             config.address_bits,
             config.block_size,
-            geo.tag_bits,
+            config.tag_bits,
         )
         point = encode(dict(zip(_POINT_COLUMNS, cells)))
-        for ev, split, costs in pairs[(geo.tag_bits, config.associativity)]:
+        for ev, split, costs in pairs[(config.tag_bits, config.associativity)]:
             sim = no_sim
             if traces:
                 # a fresh warm cache per row: rows of one grid point differ in k
@@ -412,18 +404,20 @@ def read_sweep_csv(path) -> list[SweepRow]:
                     raise ValueError(f"{where}, column {name}: {exc}") from None
             row = SweepRow(*values)
             try:
-                _, geo = _point(row.cache_size, row.associativity, row.address_bits, row.block_size)
-                ev = expected_reads(geo.tag_bits, row.associativity, row.k)
-                opt = k_min_integer(geo.tag_bits, row.associativity)
+                n = CacheConfig(
+                    row.address_bits, row.cache_size, row.block_size, row.associativity
+                ).tag_bits
+                ev = expected_reads(n, row.associativity, row.k)
+                opt = k_min_integer(n, row.associativity)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             # the simulation and cost columns as the sweep computes them
             sim_error = None
             if row.sim_bits_per_access is not None:
                 sim_error = (row.sim_bits_per_access - ev.total_bits) / ev.total_bits
-            mttf_ratio = baseline_bits(geo.tag_bits, row.associativity) / ev.total_bits
+            mttf_ratio = baseline_bits(n, row.associativity) / ev.total_bits
             checks = (
-                ("tag_bits", geo.tag_bits == row.tag_bits),
+                ("tag_bits", n == row.tag_bits),
                 ("first_step_bits", row.first_step_bits == row.k * row.associativity),
                 (
                     "expected_second_step_bits",
@@ -465,29 +459,24 @@ def read_sweep_csv(path) -> list[SweepRow]:
     return rows
 
 
-def _print_geometry(config: CacheConfig, geo) -> None:
-    print(f"cache_size: {config.cache_size}")
-    print(f"block_size: {config.block_size}")
-    print(f"associativity: {config.associativity}")
-    print(f"address_bits: {config.address_bits}")
-    print(f"sets: {geo.sets}")
-    print(f"index_bits: {geo.index_bits}")
-    print(f"offset_bits: {geo.offset_bits}")
-    print(f"tag_bits: {geo.tag_bits}")
+def _print_geometry(config: CacheConfig) -> None:
+    for name in ("cache_size", "block_size", "associativity", "address_bits",
+                 "sets", "index_bits", "offset_bits", "tag_bits"):
+        print(f"{name}: {getattr(config, name)}")
 
 
 def _configure(args):
-    """(config, geometry, optimum, k) of one configuration's flags; k defaults to the optimum."""
-    config, geo = _point(args.size, args.assoc, args.addr_bits, args.block)
-    opt = k_min_integer(geo.tag_bits, config.associativity)
-    return config, geo, opt, args.k if args.k is not None else opt.k_min
+    """(config, optimum, k) of one configuration's flags; k defaults to the optimum."""
+    config = CacheConfig(args.addr_bits, args.size, args.block, args.assoc)
+    opt = k_min_integer(config.tag_bits, config.associativity)
+    return config, opt, args.k if args.k is not None else opt.k_min
 
 
 def cmd_analyze(args) -> int:
-    config, geo, opt, k = _configure(args)
-    ev = expected_reads(geo.tag_bits, config.associativity, k)
-    _print_geometry(config, geo)
-    print(f"baseline_bits_per_access: {baseline_bits(geo.tag_bits, config.associativity)}")
+    config, opt, k = _configure(args)
+    ev = expected_reads(config.tag_bits, config.associativity, k)
+    _print_geometry(config)
+    print(f"baseline_bits_per_access: {baseline_bits(config.tag_bits, config.associativity)}")
     print(f"k_optimal: {format_value(opt.k_optimal)}")
     print(f"k_min: {opt.k_min}")
     print(f"is_round_of_continuous: {format_value(opt.k_min == round(opt.k_optimal))}")
@@ -542,22 +531,22 @@ def _load_trace(args):
 
 def cmd_simulate(args) -> int:
     params = load_params(args.params) if args.params is not None else None
-    config, geo, _, k = _configure(args)
+    config, _, k = _configure(args)
     trace = _load_trace(args)
     state = CacheState(config, k)
     if args.warm:
         warm_fill(state)
     stats = run_trace(state, trace)
-    stats.validate(geo.tag_bits, k)
-    ev = expected_reads(geo.tag_bits, config.associativity, k)
-    base = baseline_bits(geo.tag_bits, config.associativity)
+    stats.validate(config.tag_bits, k)
+    ev = expected_reads(config.tag_bits, config.associativity, k)
+    base = baseline_bits(config.tag_bits, config.associativity)
     observed = stats.bits_per_access
     cells = (
         config.cache_size,
         config.associativity,
         config.address_bits,
         config.block_size,
-        geo.tag_bits,
+        config.tag_bits,
         k,
         stats.accesses,
         stats.hits,
@@ -573,7 +562,7 @@ def cmd_simulate(args) -> int:
     )
     row = dict.fromkeys(SIM_COLUMNS)
     row.update(zip(SIM_COLUMNS, cells))
-    _print_geometry(config, geo)
+    _print_geometry(config)
     print(f"k: {k}")
     print(f"warmed: {format_value(bool(args.warm))}")
     for name in _SIM_REPORT_COLUMNS:
@@ -620,12 +609,13 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_curves(args) -> int:
     points = [
-        _point(args.size, assoc, args.addr_bits, args.block) for assoc in sorted(set(args.assocs))
+        CacheConfig(args.addr_bits, args.size, args.block, assoc)
+        for assoc in sorted(set(args.assocs))
     ]
-    ks = _k_ranges(args.k_range, {geo.tag_bits for _, geo in points})
+    ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
     rows = []
-    for config, geo in points:
-        n, assoc = geo.tag_bits, config.associativity
+    for config in points:
+        n, assoc = config.tag_bits, config.associativity
         base = baseline_bits(n, assoc)
         config_id = f"{format_size(args.size)}-{assoc}w-{args.addr_bits}b"
         for k in ks[n]:
@@ -698,9 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="LO:HI inclusive splitting points per point (default 1:10)",
     )
     sweep.add_argument("--simulate", action="store_true", help="add simulated bits/access per row")
-    sweep.add_argument("--trace-kind", choices=TRACE_KINDS, default="uniform")
-    sweep.add_argument("--trace-length", type=int, default=100_000)
-    sweep.add_argument("--trace-seed", type=int, default=0)
+    sweep.add_argument(
+        "--trace-kind", choices=TRACE_KINDS, default="uniform",
+        help="kind of trace --simulate generates (default uniform)",
+    )
+    sweep.add_argument("--trace-length", type=int, default=100_000, help="trace length (default 100000)")
+    sweep.add_argument("--trace-seed", type=int, default=0, help="generator seed (default 0)")
     sweep.add_argument("--params", default=None, help="JSON cost parameters; adds energy/mttf ratios")
     _add_output_flags(sweep, required=True)
     sweep.set_defaults(func=cmd_sweep)
@@ -718,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     gen = sub.add_parser("gen-trace", help="write a synthetic trace file")
-    gen.add_argument("--kind", choices=TRACE_KINDS, required=True)
+    gen.add_argument("--kind", choices=TRACE_KINDS, required=True, help="kind of trace to generate")
     gen.add_argument("--addr-bits", type=int, default=40, help="address length in bits (default 40)")
     gen.add_argument("--block", type=parse_size, default=64, help="block size in bytes (zipf-block kind)")
     _add_generator_flags(gen)
@@ -728,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     curves = sub.add_parser("curves", help="normalized cost curves over k, one per associativity")
     curves.add_argument("--size", type=parse_size, required=True, help="cache size in bytes")
     curves.add_argument("--assocs", type=parse_int_list, required=True, help="comma list of associativities")
-    curves.add_argument("--block", type=parse_size, default=64)
-    curves.add_argument("--addr-bits", type=int, default=40)
+    curves.add_argument("--block", type=parse_size, default=64, help="block size in bytes (default 64)")
+    curves.add_argument("--addr-bits", type=int, default=40, help="address length in bits (default 40)")
     curves.add_argument(
         "--k-range", type=parse_k_range, default=DEFAULT_K_RANGE, help="LO:HI inclusive (default 1:10)"
     )

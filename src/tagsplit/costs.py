@@ -140,8 +140,13 @@ def load_params(path) -> CostParams:
         raise ValueError(
             f"{path}: missing keys {missing or 'none'}, unknown keys {unknown or 'none'}"
         )
+    values = []
     for key in PARAM_KEYS:
         value = raw[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: {key} must be a number, got {value!r}")
-    return CostParams(*(float(raw[key]) for key in PARAM_KEYS))
+        try:
+            values.append(float(value))
+        except OverflowError:
+            raise ValueError(f"{path}: {key} is too large for a float") from None
+    return CostParams(*values)

@@ -24,9 +24,7 @@ LN2 = math.log(2.0)
 
 __all__ = [
     "CacheConfig",
-    "TagGeometry",
     "SplitEval",
-    "derive_geometry",
     "baseline_bits",
     "match_probability",
     "expected_matched_ways",
@@ -49,7 +47,7 @@ def _check_int(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Physical cache organization: sizes in bytes, power-of-two fields."""
+    """Physical cache organization (power-of-two sizes in bytes) and its address split."""
 
     address_bits: int
     cache_size: int
@@ -70,34 +68,28 @@ class CacheConfig:
                 "block_size * associativity exceeds cache_size "
                 f"({self.block_size} * {self.associativity} > {self.cache_size})"
             )
+        if self.tag_bits <= 0:
+            raise ValueError(
+                f"tag length not positive: {self.address_bits} address bits leave "
+                f"{self.tag_bits} bits after {self.index_bits} index and "
+                f"{self.offset_bits} offset bits"
+            )
 
+    @property
+    def sets(self) -> int:
+        return self.cache_size // (self.block_size * self.associativity)
 
-@dataclass(frozen=True)
-class TagGeometry:
-    """Bit-field widths implied by a cache configuration."""
+    @property
+    def index_bits(self) -> int:
+        return self.sets.bit_length() - 1
 
-    sets: int
-    index_bits: int
-    offset_bits: int
-    tag_bits: int
+    @property
+    def offset_bits(self) -> int:
+        return self.block_size.bit_length() - 1
 
-
-def derive_geometry(config: CacheConfig) -> TagGeometry:
-    """Split an address into tag, set-index, and block-offset fields.
-
-    Raises ValueError when the address is too short to leave any tag
-    bits after the index and offset fields are taken out.
-    """
-    sets = config.cache_size // (config.block_size * config.associativity)
-    index_bits = sets.bit_length() - 1
-    offset_bits = config.block_size.bit_length() - 1
-    tag_bits = config.address_bits - index_bits - offset_bits
-    if tag_bits <= 0:
-        raise ValueError(
-            f"tag length not positive: {config.address_bits} address bits leave "
-            f"{tag_bits} bits after {index_bits} index and {offset_bits} offset bits"
-        )
-    return TagGeometry(sets=sets, index_bits=index_bits, offset_bits=offset_bits, tag_bits=tag_bits)
+    @property
+    def tag_bits(self) -> int:
+        return self.address_bits - self.index_bits - self.offset_bits
 
 
 @dataclass(frozen=True)

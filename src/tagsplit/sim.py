@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CacheConfig, derive_geometry
+from .model import CacheConfig
 
 __all__ = [
     "SimStats",
@@ -112,24 +112,18 @@ class CacheState:
     """
 
     def __init__(self, config: CacheConfig, k: int):
-        geometry = derive_geometry(config)
-        if k != int(k) or not 0 <= int(k) <= geometry.tag_bits:
+        if k != int(k) or not 0 <= int(k) <= config.tag_bits:
             raise ValueError(
-                f"splitting point k must be an integer in [0, {geometry.tag_bits}], got {k!r}"
+                f"splitting point k must be an integer in [0, {config.tag_bits}], got {k!r}"
             )
         self.config = config
-        self.geometry = geometry
         self.k = int(k)
-        self._ways = config.associativity
-        self._offset_bits = geometry.offset_bits
-        self._index_bits = geometry.index_bits
-        self._index_mask = geometry.sets - 1
         self._prefix_mask = (1 << self.k) - 1
-        self._address_bits = config.address_bits
         self._dtype = np.dtype(np.uint64 if config.address_bits <= 64 else object)
-        shape = (geometry.sets, self._ways)
+        ways = config.associativity
+        shape = (config.sets, ways)
         self._tags = np.zeros(shape, dtype=self._dtype)
-        self._ages = np.broadcast_to(np.arange(-self._ways, 0, dtype=np.int64), shape).copy()
+        self._ages = np.broadcast_to(np.arange(-ways, 0, dtype=np.int64), shape).copy()
         self._clock = 0  # stamp of the next access
 
     def lru_ranks(self, set_index: int) -> list[int]:
@@ -147,21 +141,22 @@ class CacheState:
 
     def access(self, address: int, stats: SimStats) -> bool:
         """Look up one address, updating state and counters; True on hit."""
+        config = self.config
         address = int(address)
-        if address < 0 or address >> self._address_bits:
+        if address < 0 or address >> config.address_bits:
             raise ValueError(
-                f"address {address:#x} outside the {self._address_bits}-bit space"
+                f"address {address:#x} outside the {config.address_bits}-bit space"
             )
-        block = address >> self._offset_bits
-        set_index = block & self._index_mask
-        tag = block >> self._index_bits
+        block = address >> config.offset_bits
+        set_index = block & (config.sets - 1)
+        tag = block >> config.index_bits
         prefix = tag & self._prefix_mask
         tags = self._tags[set_index].tolist()
         ages = self._ages[set_index].tolist()
         prefix_mask = self._prefix_mask
         survivors = 0
         hit_way = -1
-        for way in range(self._ways):
+        for way in range(config.associativity):
             if ages[way] >= 0 and (tags[way] & prefix_mask) == prefix:
                 survivors += 1
                 if tags[way] == tag:
@@ -176,9 +171,9 @@ class CacheState:
         self._ages[set_index, way] = self._clock
         self._clock += 1
         stats.accesses += 1
-        stats.step1_bit_reads += self.k * self._ways
-        stats.step2_bit_reads += survivors * (self.geometry.tag_bits - self.k)
-        stats.baseline_bit_reads += self.geometry.tag_bits * self._ways
+        stats.step1_bit_reads += self.k * config.associativity
+        stats.step2_bit_reads += survivors * (config.tag_bits - self.k)
+        stats.baseline_bit_reads += config.tag_bits * config.associativity
         stats.matched_way_histogram[survivors] += 1
         return hit_way >= 0
 
@@ -193,7 +188,7 @@ def _addresses(state: CacheState, trace) -> np.ndarray:
         trace = np.array([int(a) for a in trace], dtype=object)
     if trace.size == 0:
         raise ValueError("cannot simulate an empty trace")
-    bits = state._address_bits
+    bits = state.config.address_bits
     if int(trace.min()) < 0 or int(trace.max()) >> bits:
         bad = next(a for a in trace.tolist() if a < 0 or a >> bits)
         raise ValueError(f"address {bad:#x} outside the {bits}-bit space")
@@ -209,17 +204,17 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     prefix of the rows and every round works on array views.
     """
     addresses = _addresses(state, trace)
-    geometry = state.geometry
-    ways, accesses = state.config.associativity, addresses.size
+    config = state.config
+    sets, ways, accesses = config.sets, config.associativity, addresses.size
 
-    block = addresses >> geometry.offset_bits
-    set_of = (block & (geometry.sets - 1)).astype(np.min_scalar_type(geometry.sets - 1))
-    requests = block >> geometry.index_bits
+    block = addresses >> config.offset_bits
+    set_of = (block & (sets - 1)).astype(np.min_scalar_type(sets - 1))
+    requests = block >> config.index_bits
     del block
-    counts = np.bincount(set_of, minlength=geometry.sets)
+    counts = np.bincount(set_of, minlength=sets)
     by_set = np.argsort(set_of, kind="stable")
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    row_of = np.empty(geometry.sets, dtype=np.intp)
+    row_of = np.empty(sets, dtype=np.intp)
     row_of[rows] = np.arange(rows.size)
     # active[r]: sets with more than r accesses, i.e. the rows of round r
     active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
@@ -274,7 +269,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     state._clock = clock + rounds
     histogram = np.bincount(survivors, minlength=ways + 1).tolist()
     hits = int(np.count_nonzero(hit))
-    tag_bits = geometry.tag_bits
+    tag_bits = config.tag_bits
     stats = SimStats(
         ways=ways,
         accesses=accesses,
@@ -349,16 +344,16 @@ def warm_fill(state: CacheState) -> None:
     warm-up accesses are discarded.  On a cold cache tag t lands in way
     t of every set, in LRU order, so that state is written directly.
     """
-    geometry = state.geometry
-    distinct_tags = min(state.config.associativity, 1 << geometry.tag_bits)
+    config = state.config
+    distinct_tags = min(config.associativity, 1 << config.tag_bits)
     if (state._ages < 0).all():
         state._tags[:, :distinct_tags] = np.arange(distinct_tags)
         state._ages[:, :distinct_tags] = state._clock + np.arange(distinct_tags)
         state._clock += distinct_tags
         return
-    tag = np.repeat(np.arange(distinct_tags), geometry.sets).astype(state._dtype)
-    set_index = np.tile(np.arange(geometry.sets), distinct_tags).astype(state._dtype)
-    _fold(state, ((tag << geometry.index_bits) | set_index) << geometry.offset_bits, False)
+    tag = np.repeat(np.arange(distinct_tags), config.sets).astype(state._dtype)
+    set_index = np.tile(np.arange(config.sets), distinct_tags).astype(state._dtype)
+    _fold(state, ((tag << config.index_bits) | set_index) << config.offset_bits, False)
 
 
 def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
@@ -368,12 +363,11 @@ def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
     resident tags in least-recent-first order and lookups compare full
     tags directly, with no prefix machinery at all.
     """
-    geometry = derive_geometry(config)
     ways = config.associativity
-    offset_bits = geometry.offset_bits
-    index_bits = geometry.index_bits
-    index_mask = geometry.sets - 1
-    resident: list[list[int]] = [[] for _ in range(geometry.sets)]
+    offset_bits = config.offset_bits
+    index_bits = config.index_bits
+    index_mask = config.sets - 1
+    resident: list[list[int]] = [[] for _ in range(config.sets)]
     outcomes = []
     addresses = trace.tolist() if isinstance(trace, np.ndarray) else map(int, trace)
     for address in addresses:

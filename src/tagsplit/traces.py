@@ -84,7 +84,7 @@ def stride_trace(length: int, stride: int = 64, base: int = 0, address_bits: int
     steps = np.arange(length, dtype=np.uint64)
     # uint64 arithmetic wraps mod 2**64; masking afterwards yields
     # mod 2**address_bits because address_bits <= 64
-    return (np.uint64(base) + steps * np.uint64(stride % (1 << 64))) & mask
+    return (np.uint64(base % (1 << 64)) + steps * np.uint64(stride % (1 << 64))) & mask
 
 
 def zipf_block_trace(

@@ -18,7 +18,6 @@ from tagsplit.model import (
     LN2,
     CacheConfig,
     baseline_bits,
-    derive_geometry,
     expected_reads,
 )
 from tagsplit.optimum import (
@@ -64,8 +63,7 @@ def k_min_span(sizes, assocs) -> set[int]:
                     cache_size=size, block_size=64, associativity=assoc,
                     address_bits=addr,
                 )
-                geo = derive_geometry(config)
-                found.add(k_min_integer(geo.tag_bits, assoc).k_min)
+                found.add(k_min_integer(config.tag_bits, assoc).k_min)
     return found
 
 
@@ -95,8 +93,7 @@ def test_criterion_02_reference_optimum_is_4(announce):
         config = CacheConfig(
             cache_size=1 * MIB, block_size=64, associativity=8, address_bits=addr
         )
-        geo = derive_geometry(config)
-        minima[addr] = k_min_integer(geo.tag_bits, 8).k_min
+        minima[addr] = k_min_integer(config.tag_bits, 8).k_min
     elapsed = time.perf_counter() - start
     announce(2, f"k_min {minima} in {elapsed * 1000:.1f}ms")
     assert minima == {40: 4, 48: 4}
@@ -224,9 +221,8 @@ def test_criterion_08_cost_model_duality(announce):
             associativity=rng.choice(EXTENDED_ASSOCS),
             address_bits=rng.choice(ADDRESS_WIDTHS),
         )
-        geo = derive_geometry(config)
-        k = rng.randint(1, min(10, geo.tag_bits))
-        energy_ratio, mttf_ratio = ratios(geo.tag_bits, config.associativity, k)
+        k = rng.randint(1, min(10, config.tag_bits))
+        energy_ratio, mttf_ratio = ratios(config.tag_bits, config.associativity, k)
         worst = max(worst, abs(energy_ratio * mttf_ratio - 1.0))
     _, reference_mttf = ratios(23, 8, 4)
     announce(
@@ -253,9 +249,8 @@ def test_criterion_09_qualitative_reduction_check(announce):
     config = CacheConfig(
         cache_size=256 * KIB, block_size=64, associativity=4, address_bits=64
     )
-    geo = derive_geometry(config)
-    result = k_min_integer(geo.tag_bits, 4)
-    ev = expected_reads(geo.tag_bits, 4, result.k_min)
+    result = k_min_integer(config.tag_bits, 4)
+    ev = expected_reads(config.tag_bits, 4, result.k_min)
     reduction = 1.0 - ev.reduction_ratio
     announce(
         9,
@@ -265,10 +260,10 @@ def test_criterion_09_qualitative_reduction_check(announce):
     )
     announce(
         9,
-        f"read reduction at the optimum (n={geo.tag_bits}, k={result.k_min}): "
+        f"read reduction at the optimum (n={config.tag_bits}, k={result.k_min}): "
         f"{100 * reduction:.2f}% (threshold 80%)",
     )
-    assert geo.tag_bits == 48 and result.k_min == 5
+    assert config.tag_bits == 48 and result.k_min == 5
     assert reduction >= 0.80
 
 

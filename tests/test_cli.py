@@ -113,6 +113,16 @@ class TestParsers:
         assert row == {"a": "inf", "b": "-inf", "c": "nan", "d": 0.5}
         assert [row[name] for name in "abc"] == [format_value(cells[name]) for name in "abc"]
 
+    def test_every_option_has_help_text(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        missing = [
+            (name, action.option_strings)
+            for name, command in commands.items()
+            for action in command._actions
+            if not action.help
+        ]
+        assert missing == []
+
     def test_write_rows_rejects_unknown_formats(self, tmp_path):
         with pytest.raises(ValueError, match="output format"):
             write_rows(tmp_path / "x", ("a",), [{"a": 1}], "xml")

@@ -250,6 +250,12 @@ class TestParamFile:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_params(self.write(tmp_path, "{broken"))
 
+    def test_rejects_an_integer_too_large_for_a_float(self, tmp_path):
+        payload = json.dumps(self.GOOD).replace("1.5", "1" + "0" * 400)
+        path = self.write(tmp_path, payload)
+        with pytest.raises(ValueError, match=f"{path}: execution_time is too large"):
+            load_params(path)
+
     def test_rejects_an_all_zero_energy_file(self, tmp_path):
         payload = dict(self.GOOD, energy_per_bit_read=0)
         with pytest.raises(ValueError, match="are all 0"):

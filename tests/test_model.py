@@ -10,7 +10,6 @@ from tagsplit.model import (
     CacheConfig,
     baseline_bits,
     continuous_total_bits,
-    derive_geometry,
     expected_matched_ways,
     expected_reads,
     first_derivative,
@@ -42,20 +41,18 @@ def fd_second(tag_bits, ways, k, h):
 class TestGeometry:
     def test_reference_configuration(self):
         cfg = CacheConfig(address_bits=40, cache_size=1 * MB, block_size=64, associativity=8)
-        geo = derive_geometry(cfg)
-        assert geo.sets == 2048
-        assert geo.index_bits == 11
-        assert geo.offset_bits == 6
-        assert geo.tag_bits == 23
+        assert cfg.sets == 2048
+        assert cfg.index_bits == 11
+        assert cfg.offset_bits == 6
+        assert cfg.tag_bits == 23
 
     def test_second_configuration(self):
         cfg = CacheConfig(address_bits=32, cache_size=256 * KB, block_size=64, associativity=4)
-        assert derive_geometry(cfg).tag_bits == 16
+        assert cfg.tag_bits == 16
 
     def test_short_address_leaves_no_tag(self):
-        cfg = CacheConfig(address_bits=16, cache_size=1 * MB, block_size=64, associativity=2)
         with pytest.raises(ValueError, match="tag length not positive"):
-            derive_geometry(cfg)
+            CacheConfig(address_bits=16, cache_size=1 * MB, block_size=64, associativity=2)
 
     @pytest.mark.parametrize("field,value", [
         ("cache_size", 3 * KB),
@@ -79,9 +76,8 @@ class TestGeometry:
 
     def test_fields_count_bits_of_the_address(self):
         cfg = CacheConfig(address_bits=48, cache_size=2 * MB, block_size=128, associativity=16)
-        geo = derive_geometry(cfg)
-        assert geo.index_bits + geo.offset_bits + geo.tag_bits == cfg.address_bits
-        assert geo.sets == cfg.cache_size // (cfg.block_size * cfg.associativity)
+        assert cfg.index_bits + cfg.offset_bits + cfg.tag_bits == cfg.address_bits
+        assert cfg.sets == cfg.cache_size // (cfg.block_size * cfg.associativity)
 
 
 class TestBaselineAndProbability:

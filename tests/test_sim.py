@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsplit import sim
-from tagsplit.model import CacheConfig, derive_geometry, expected_reads
+from tagsplit.model import CacheConfig, expected_reads
 from tagsplit.sim import (
     CacheState,
     SimStats,
@@ -27,8 +27,7 @@ TINY = CacheConfig(cache_size=1024, block_size=64, associativity=4, address_bits
 
 
 def addr(config: CacheConfig, tag: int, set_index: int) -> int:
-    g = derive_geometry(config)
-    return ((tag << g.index_bits) | set_index) << g.offset_bits
+    return ((tag << config.index_bits) | set_index) << config.offset_bits
 
 
 class TestAccessBasics:
@@ -98,7 +97,7 @@ class TestStateViews:
         stats = SimStats(ways=4)
         for tag in (3, 1, 4, 1, 5, 9, 2, 6):
             state.access(addr(TINY, tag, 2), stats)
-        for s in range(state.geometry.sets):
+        for s in range(state.config.sets):
             assert sorted(state.lru_ranks(s)) == [0, 1, 2, 3]
 
     def test_contents_tracks_fills_and_recency(self):
@@ -184,13 +183,13 @@ class TestWarmFill:
     def test_fills_every_way_of_every_set(self):
         state = CacheState(TINY, k=3)
         warm_fill(state)
-        for s in range(state.geometry.sets):
+        for s in range(state.config.sets):
             assert all(valid for valid, _, _ in state.contents(s))
 
     def test_fills_with_distinct_tags_per_set(self):
         state = CacheState(TINY, k=3)
         warm_fill(state)
-        for s in range(state.geometry.sets):
+        for s in range(state.config.sets):
             tags = [tag for _, tag, _ in state.contents(s)]
             assert len(set(tags)) == len(tags)
 
@@ -215,15 +214,15 @@ def reference_fold(state: CacheState, trace) -> tuple[SimStats, list[bool]]:
 
 def reference_warm_fill(state: CacheState) -> None:
     """The warm fill as a per-access loop: tag t into every set, t = 0, 1, ..."""
-    g = state.geometry
-    scratch = SimStats(ways=state.config.associativity)
-    for tag in range(min(state.config.associativity, 1 << g.tag_bits)):
-        for set_index in range(g.sets):
-            state.access(((tag << g.index_bits) | set_index) << g.offset_bits, scratch)
+    config = state.config
+    scratch = SimStats(ways=config.associativity)
+    for tag in range(min(config.associativity, 1 << config.tag_bits)):
+        for set_index in range(config.sets):
+            state.access(addr(config, tag, set_index), scratch)
 
 
 def all_contents(state: CacheState) -> list:
-    return [state.contents(s) for s in range(state.geometry.sets)]
+    return [state.contents(s) for s in range(state.config.sets)]
 
 
 DIFFERENTIAL_CONFIGS = (
@@ -277,7 +276,7 @@ class TestDifferential:
     @given(data=st.data())
     def test_engine_matches_the_scalar_reference(self, data):
         config = data.draw(st.sampled_from(DIFFERENTIAL_CONFIGS), label="config")
-        tag_bits = derive_geometry(config).tag_bits
+        tag_bits = config.tag_bits
         k = data.draw(st.sampled_from([0, tag_bits]) | st.integers(0, tag_bits), label="k")
         start = data.draw(st.sampled_from(["cold", "warm", "used, then warm"]), label="start")
         prefix = data.draw(differential_traces(config), label="prefix")

@@ -31,6 +31,9 @@ class TestGenerators:
         trace = stride_trace(3, stride=64, base=(1 << 20) - 64, address_bits=20)
         assert trace.tolist() == [(1 << 20) - 64, 0, 64]
 
+    def test_stride_base_wraps_like_the_stride(self):
+        assert np.array_equal(stride_trace(10, base=2**64 + 5), stride_trace(10, base=5))
+
     def test_uniform_is_deterministic_per_seed(self):
         a = uniform_trace(1000, seed=42, address_bits=40)
         b = uniform_trace(1000, seed=42, address_bits=40)
