@@ -65,13 +65,16 @@ class SweepRow:
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
+# runs of consecutive columns a sweep row is built from (evaluate_sweep); the
+# grid point's columns are CacheConfig attributes and open every row the CLI writes
+_POINT_COLUMNS = SWEEP_COLUMNS[:5]
+_SPLIT_COLUMNS = SWEEP_COLUMNS[5:13]
+_SIM_COLUMNS = SWEEP_COLUMNS[13:15]
+_COST_COLUMNS = SWEEP_COLUMNS[15:]
+
 CURVE_COLUMNS = (
     "config_id",
-    "cache_size",
-    "associativity",
-    "address_bits",
-    "block_size",
-    "tag_bits",
+    *_POINT_COLUMNS,
     "k",
     "step1_normalized",
     "step2_normalized",
@@ -79,11 +82,7 @@ CURVE_COLUMNS = (
 )
 
 SIM_COLUMNS = (
-    "cache_size",
-    "associativity",
-    "address_bits",
-    "block_size",
-    "tag_bits",
+    *_POINT_COLUMNS,
     "k",
     "accesses",
     "hits",
@@ -223,16 +222,16 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
     )
 
 
-def _grid_points(args):
-    """Validated configurations of a sweep grid in output order, or all errors."""
+def _grid_points(sizes, assocs, addr_bits, block: int):
+    """Validated configurations of a grid in output order, or all errors."""
     points = []
     errors = []
-    for size in sorted(set(args.sizes)):
-        for assoc in sorted(set(args.assocs)):
-            for addr in sorted(set(args.addr_bits)):
-                label = f"size={size} assoc={assoc} addr_bits={addr} block={args.block}"
+    for size in sorted(set(sizes)):
+        for assoc in sorted(set(assocs)):
+            for addr in sorted(set(addr_bits)):
+                label = f"size={size} assoc={assoc} addr_bits={addr} block={block}"
                 try:
-                    points.append(CacheConfig(addr, size, args.block, assoc))
+                    points.append(CacheConfig(addr, size, block, assoc))
                 except ValueError as exc:
                     errors.append(f"{label}: {exc}")
     if errors:
@@ -269,31 +268,22 @@ def _trace_params(
     return params
 
 
-# the four runs of consecutive columns a sweep row is built from (evaluate_sweep)
-_POINT_COLUMNS = SWEEP_COLUMNS[:5]
-_SPLIT_COLUMNS = SWEEP_COLUMNS[5:13]
-_SIM_COLUMNS = SWEEP_COLUMNS[13:15]
-_COST_COLUMNS = SWEEP_COLUMNS[15:]
+def _point_cells(config: CacheConfig) -> dict:
+    return {name: getattr(config, name) for name in _POINT_COLUMNS}
 
 
 def _split_runs(tag_bits: int, ways: int, ks: range, encode, params) -> list[tuple]:
     """(SplitEval, split run, cost run) of one (tag_bits, ways) pair per k."""
+    # every k is evaluated first, so a k beyond the tag is named before a
+    # tag too short to have an optimum
+    evs = [expected_reads(tag_bits, ways, k) for k in ks]
     opt = k_min_integer(tag_bits, ways)
-    is_round = opt.k_min == round(opt.k_optimal)
+    optimum = (opt.k_optimal, opt.k_min, opt.k_min == round(opt.k_optimal))
     base = baseline_bits(tag_bits, ways)
     runs = []
-    for k in ks:
-        ev = expected_reads(tag_bits, ways, k)
-        split = (
-            k,
-            ev.first_step_bits,
-            ev.expected_second_step_bits,
-            ev.total_bits,
-            ev.reduction_ratio,
-            opt.k_optimal,
-            opt.k_min,
-            is_round,
-        )
+    for ev in evs:
+        split = (ev.k, ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits,
+                 ev.reduction_ratio, *optimum)
         costs = (None, None)
         if params is not None:
             costs = ratios_from_bits(ev.total_bits, base, 1, params)
@@ -319,7 +309,7 @@ def evaluate_sweep(args, encode, params=None):
     returned iterator then produces the rows one at a time; with
     args.simulate, each row is simulated as it is produced.
     """
-    points = _grid_points(args)
+    points = _grid_points(args.sizes, args.assocs, args.addr_bits, args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
     pairs = {}
     for config in points:
@@ -336,17 +326,17 @@ def evaluate_sweep(args, encode, params=None):
     return _sweep_rows(points, pairs, traces, encode)
 
 
+def _sim_cells(observed: float | None, ev) -> dict:
+    """The simulation columns of a row whose simulated bits per access is observed."""
+    if observed is None:
+        return dict.fromkeys(_SIM_COLUMNS)
+    return dict(zip(_SIM_COLUMNS, (observed, (observed - ev.total_bits) / ev.total_bits)))
+
+
 def _sweep_rows(points, pairs, traces, encode):
-    no_sim = encode(dict.fromkeys(_SIM_COLUMNS))
+    no_sim = encode(_sim_cells(None, None))
     for config in points:
-        cells = (
-            config.cache_size,
-            config.associativity,
-            config.address_bits,
-            config.block_size,
-            config.tag_bits,
-        )
-        point = encode(dict(zip(_POINT_COLUMNS, cells)))
+        point = encode(_point_cells(config))
         for ev, split, costs in pairs[(config.tag_bits, config.associativity)]:
             sim = no_sim
             if traces:
@@ -354,8 +344,7 @@ def _sweep_rows(points, pairs, traces, encode):
                 state = CacheState(config, ev.k)
                 warm_fill(state)
                 observed = run_trace(state, traces[config.address_bits]).bits_per_access
-                relative_error = (observed - ev.total_bits) / ev.total_bits
-                sim = encode(dict(zip(_SIM_COLUMNS, (observed, relative_error))))
+                sim = encode(_sim_cells(observed, ev))
             yield point, split, sim, costs
 
 
@@ -376,13 +365,27 @@ _SWEEP_CELLS = tuple(
 )
 
 
-def read_sweep_csv(path) -> list[SweepRow]:
-    """Load a sweep CSV, re-validating every row against the model.
+def _agrees(got, want) -> bool:
+    """A parsed cell against its derivation: floats within a relative 1e-9,
+    anything else exactly.  A cell copied from the row, NaN too, agrees."""
+    if got is want:
+        return True
+    if isinstance(want, float) and got is not None:
+        return math.isclose(got, want, rel_tol=1e-9)
+    return got == want
 
-    Malformed input raises ValueError naming the path, line and column.
+
+def read_sweep_csv(path) -> list[SweepRow]:
+    """Load a sweep CSV, re-deriving every row through the sweep's own evaluation.
+
+    Every derived column is compared with the row's cell, except
+    energy_ratio, which needs the cost parameters, and mttf_ratio when
+    it is empty.  Malformed input raises ValueError naming the path,
+    line and column.
     """
     rows = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # a non-ASCII byte is kept in its cell as a lone surrogate, which no cell parser accepts
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != SWEEP_COLUMNS:
@@ -404,55 +407,21 @@ def read_sweep_csv(path) -> list[SweepRow]:
                     raise ValueError(f"{where}, column {name}: {exc}") from None
             row = SweepRow(*values)
             try:
-                n = CacheConfig(
+                config = CacheConfig(
                     row.address_bits, row.cache_size, row.block_size, row.associativity
-                ).tag_bits
-                ev = expected_reads(n, row.associativity, row.k)
-                opt = k_min_integer(n, row.associativity)
+                )
+                [(ev, split, _)] = _split_runs(
+                    config.tag_bits, row.associativity, range(row.k, row.k + 1), dict, None
+                )
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            # the simulation and cost columns as the sweep computes them
-            sim_error = None
-            if row.sim_bits_per_access is not None:
-                sim_error = (row.sim_bits_per_access - ev.total_bits) / ev.total_bits
-            mttf_ratio = baseline_bits(n, row.associativity) / ev.total_bits
-            checks = (
-                ("tag_bits", n == row.tag_bits),
-                ("first_step_bits", row.first_step_bits == row.k * row.associativity),
-                (
-                    "expected_second_step_bits",
-                    math.isclose(
-                        ev.expected_second_step_bits, row.expected_second_step_bits, rel_tol=1e-9
-                    ),
-                ),
-                ("total_bits", math.isclose(ev.total_bits, row.total_bits, rel_tol=1e-9)),
-                (
-                    "reduction_ratio",
-                    math.isclose(ev.reduction_ratio, row.reduction_ratio, rel_tol=1e-9),
-                ),
-                ("k_optimal", math.isclose(opt.k_optimal, row.k_optimal, rel_tol=1e-9)),
-                ("k_min", opt.k_min == row.k_min),
-                (
-                    "is_round_of_continuous",
-                    row.is_round_of_continuous == (row.k_min == round(row.k_optimal)),
-                ),
-                (
-                    "sim_relative_error",
-                    (sim_error is None) == (row.sim_relative_error is None)
-                    and (
-                        sim_error is None
-                        or math.isclose(sim_error, row.sim_relative_error, rel_tol=1e-9)
-                    ),
-                ),
-                (
-                    "mttf_ratio",
-                    row.mttf_ratio is None
-                    or math.isclose(mttf_ratio, row.mttf_ratio, rel_tol=1e-9),
-                ),
-            )
-            for label, ok in checks:
-                if not ok:
-                    raise ValueError(f"{where} fails self-check: {label}")
+            derived = {**_point_cells(config), **split, **_sim_cells(row.sim_bits_per_access, ev)}
+            if row.mttf_ratio is not None:
+                base = baseline_bits(config.tag_bits, row.associativity)
+                derived["mttf_ratio"] = base / ev.total_bits
+            for name, want in derived.items():
+                if not _agrees(getattr(row, name), want):
+                    raise ValueError(f"{where} fails self-check: {name}")
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no sweep rows")
@@ -540,13 +509,8 @@ def cmd_simulate(args) -> int:
     stats.validate(config.tag_bits, k)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     base = baseline_bits(config.tag_bits, config.associativity)
-    observed = stats.bits_per_access
+    observed, relative_error = _sim_cells(stats.bits_per_access, ev).values()
     cells = (
-        config.cache_size,
-        config.associativity,
-        config.address_bits,
-        config.block_size,
-        config.tag_bits,
         k,
         stats.accesses,
         stats.hits,
@@ -556,12 +520,13 @@ def cmd_simulate(args) -> int:
         stats.total_bit_reads,
         observed,
         ev.total_bits,
-        (observed - ev.total_bits) / ev.total_bits,
+        relative_error,
         base,
         observed / base,
     )
     row = dict.fromkeys(SIM_COLUMNS)
-    row.update(zip(SIM_COLUMNS, cells))
+    row.update(_point_cells(config))
+    row.update(zip(SIM_COLUMNS[len(_POINT_COLUMNS) :], cells))
     _print_geometry(config)
     print(f"k: {k}")
     print(f"warmed: {format_value(bool(args.warm))}")
@@ -608,31 +573,21 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    points = [
-        CacheConfig(args.addr_bits, args.size, args.block, assoc)
-        for assoc in sorted(set(args.assocs))
-    ]
+    points = _grid_points((args.size,), args.assocs, (args.addr_bits,), args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
     rows = []
     for config in points:
         n, assoc = config.tag_bits, config.associativity
         base = baseline_bits(n, assoc)
-        config_id = f"{format_size(args.size)}-{assoc}w-{args.addr_bits}b"
+        head = {
+            "config_id": f"{format_size(config.cache_size)}-{assoc}w-{config.address_bits}b",
+            **_point_cells(config),
+        }
         for k in ks[n]:
             ev = expected_reads(n, assoc, k)
-            cells = (
-                config_id,
-                args.size,
-                assoc,
-                args.addr_bits,
-                args.block,
-                n,
-                k,
-                ev.first_step_bits / base,
-                ev.expected_second_step_bits / base,
-                ev.total_bits / base,
-            )
-            rows.append(dict(zip(CURVE_COLUMNS, cells)))
+            bits = (ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits)
+            normalized = dict(zip(CURVE_COLUMNS[7:], (b / base for b in bits)))
+            rows.append({**head, "k": k, **normalized})
     write_rows(args.out, CURVE_COLUMNS, rows, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -130,7 +130,7 @@ def load_params(path) -> CostParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, a non-UTF-8 byte or too many digits
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object of parameter keys")

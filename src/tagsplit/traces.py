@@ -147,32 +147,25 @@ def write_trace_text(path, addresses) -> None:
         fh.writelines(f"{int(a):x}\n" for a in arr)
 
 
-def _newlines(block: bytes) -> bytes:
-    return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
-
-
 def _line_blocks(fh):
-    """The file in blocks of whole lines, each line ending in a single b"\\n".
+    """The bytes of fh, a latin-1 text stream with universal newlines, in
+    blocks of whole lines, each ending in b"\\n".
 
-    \\r\\n and a lone \\r end a line too, as in text mode; both become
-    b"\\n".  A block is one read of _TEXT_CHUNK bytes up to its last line
+    A block is one read of _TEXT_CHUNK characters up to its last line
     end, after the unfinished line the reads before it carried over.
     """
     tail = []  # the unfinished line, in the pieces read so far
-    while chunk := fh.read(_TEXT_CHUNK):
-        # a final \r may be the first half of a \r\n that the next read completes
-        end = len(chunk) - chunk.endswith(b"\r")
-        cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+    while chunk := fh.read(_TEXT_CHUNK).encode("latin-1"):
+        cut = chunk.rfind(b"\n") + 1
         if cut:
             tail.append(chunk[:cut])
-            yield _newlines(b"".join(tail))
+            yield b"".join(tail)
             tail = [chunk[cut:]]
         else:
             tail.append(chunk)
     last = b"".join(tail)
     if last:
-        # the \n ends the last line, or completes its final \r\n
-        yield _newlines(last + b"\n")
+        yield last + b"\n"
 
 
 def _parse_line(raw: bytes, path, lineno: int):
@@ -242,7 +235,8 @@ def read_trace_text(path) -> np.ndarray:
     """
     parts = []
     lines = 0
-    with open(path, "rb") as fh:
+    # latin-1 reads every byte as one character; \r\n and a lone \r end a line too
+    with open(path, "r", encoding="latin-1", newline=None) as fh:
         for block in _line_blocks(fh):
             parts.append(_block_words(block, path, lines + 1))
             lines += block.count(b"\n")

@@ -57,6 +57,14 @@ def params_file(tmp_path, **changes) -> str:
     return str(path)
 
 
+def cell_plus(delta):
+    return lambda text: format_value(float(text) + delta)
+
+
+def cell_times(factor):
+    return lambda text: format_value(float(text) * factor)
+
+
 ZERO_ENERGY = dict(energy_per_bit_read=0.0, fixed_energy_per_access=0.0, leakage_power=0.0)
 
 
@@ -201,18 +209,35 @@ class TestSweep:
         with pytest.raises(ValueError, match="self-check: total_bits"):
             read_sweep_csv(out)
 
-    # an edit per column that follows from the row's other cells
+    # per case: the column the self-check names, the column edited and the
+    # edit of its cell text; every other cell of the row is left as written
     DERIVED_EDITS = {
-        "first_step_bits": lambda value: value + 1,
-        "expected_second_step_bits": lambda value: value * (1 + 1e-6),
-        "k_optimal": lambda value: value + 0.01,  # k_min still its rounding
-        "k_min": lambda value: value + 1,
-        "sim_relative_error": lambda value: value + 1e-3,
-        "mttf_ratio": lambda value: value * (1 + 1e-6),
+        "tag_bits": ("tag_bits", "tag_bits", cell_plus(1)),
+        "first_step_bits": ("first_step_bits", "first_step_bits", cell_plus(1)),
+        "expected_second_step_bits": (
+            "expected_second_step_bits", "expected_second_step_bits", cell_times(1 + 1e-6)
+        ),
+        "total_bits": ("total_bits", "total_bits", cell_times(1 + 1e-6)),
+        "reduction_ratio": ("reduction_ratio", "reduction_ratio", cell_times(1 + 1e-6)),
+        # k_min is still the rounding of the edited value
+        "k_optimal": ("k_optimal", "k_optimal", cell_plus(0.01)),
+        "k_optimal-inf": ("k_optimal", "k_optimal", lambda text: "inf"),
+        "k_min": ("k_min", "k_min", cell_plus(1)),
+        "is_round_of_continuous": (
+            "is_round_of_continuous",
+            "is_round_of_continuous",
+            {"true": "false", "false": "true"}.get,
+        ),
+        "sim_relative_error": ("sim_relative_error", "sim_relative_error", cell_plus(1e-3)),
+        "sim_relative_error-without-sim_bits_per_access": (
+            "sim_relative_error", "sim_bits_per_access", lambda text: ""
+        ),
+        "mttf_ratio": ("mttf_ratio", "mttf_ratio", cell_times(1 + 1e-6)),
     }
 
-    @pytest.mark.parametrize("column", DERIVED_EDITS)
-    def test_read_back_rejects_edited_derived_columns(self, tmp_path, column):
+    @pytest.mark.parametrize("case", DERIVED_EDITS)
+    def test_read_back_rejects_edited_derived_columns(self, tmp_path, case):
+        column, edited, edit = self.DERIVED_EDITS[case]
         out = tmp_path / "sim.csv"
         args = ["sweep", "--sizes", "64K", "--assocs", "4", "--addr-bits", "32",
                 "--k-range", "2:4", "--simulate", "--trace-length", "300",
@@ -221,8 +246,8 @@ class TestSweep:
         assert len(read_sweep_csv(out)) == 3
         lines = out.read_text().splitlines()
         cells = lines[2].split(",")
-        index = SWEEP_COLUMNS.index(column)
-        cells[index] = format_value(self.DERIVED_EDITS[column](float(cells[index])))
+        index = SWEEP_COLUMNS.index(edited)
+        cells[index] = edit(cells[index])
         lines[2] = ",".join(cells)
         out.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
@@ -257,6 +282,16 @@ class TestSweep:
         with pytest.raises(ValueError) as info:
             read_sweep_csv(out)
         assert str(info.value).startswith(f"{out}, line 3{message}")
+
+    def test_read_back_names_the_line_and_column_of_a_non_ascii_byte(self, tmp_path):
+        out = self.run(tmp_path)
+        lines = out.read_bytes().split(b"\n")
+        # a no-break space, which int() would strip from a latin-1 decoded cell
+        lines[2] = b"\xa0" + lines[2]
+        out.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_sweep_csv(out)
+        assert str(info.value).startswith(f"{out}, line 3, column cache_size: ")
 
     def test_invalid_grid_entries_are_all_reported(self, tmp_path, capsys):
         code = main(
@@ -585,6 +620,15 @@ class TestCurves:
         )
         assert code == 2
         assert "exceeds the longest tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_associativities_are_all_reported(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        code = main(["curves", "--size", "1M", "--assocs", "3,5,8", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid grid entries" in err
+        assert "assoc=3 " in err and "assoc=5 " in err
         assert not out.exists()
 
 

@@ -256,6 +256,20 @@ class TestParamFile:
         with pytest.raises(ValueError, match=f"{path}: execution_time is too large"):
             load_params(path)
 
+    def test_rejects_an_integer_with_too_many_digits_naming_the_file(self, tmp_path):
+        # more digits than Python converts from a string (4,300 by default)
+        path = self.write(tmp_path, json.dumps(self.GOOD).replace("1.5", "1" * 5000))
+        with pytest.raises(ValueError) as info:
+            load_params(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_rejects_a_non_utf8_byte_naming_the_file(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_bytes(json.dumps(self.GOOD).encode("ascii").replace(b"{", b"{\xff", 1))
+        with pytest.raises(ValueError) as info:
+            load_params(path)
+        assert str(info.value).startswith(f"{path}: not valid JSON")
+
     def test_rejects_an_all_zero_energy_file(self, tmp_path):
         payload = dict(self.GOOD, energy_per_bit_read=0)
         with pytest.raises(ValueError, match="are all 0"):
