@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 from .costs import load_params, mttf_from_bits, ratios_from_bits, reliability, tag_energy
 from .model import CacheConfig, baseline_bits, expected_reads
-from .optimum import k_min_integer, k_optimal_continuous
+from .optimum import k_min_integer
 from .sim import CacheState, run_trace, warm_fill
 from .traces import (
     TRACE_KINDS,

@@ -16,10 +16,13 @@ k bits per way) but they can neither survive to step 2 nor hit.
 reference.  ``run_trace`` and ``trace_outcomes`` give the same results
 set-parallel: sets are independent, so round r applies the r-th access
 of every set at once as numpy operations on the (sets, ways) arrays.
+Within a set, a run of accesses to one tag hits from its second access
+on, and each of those hits leaves the set as it was, so the run's third
+and later accesses are folded into its second and take no round.
 Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
-those are finished one access at a time, so a trace that concentrates
-on a few hot sets costs about one scalar step per access of the hot
-sets instead of one numpy round each.
+those are finished one access at a time, so a hot set whose consecutive
+accesses change tag costs about one scalar step per access instead of
+one numpy round each.
 """
 
 from __future__ import annotations
@@ -198,10 +201,17 @@ def _addresses(state: CacheState, trace) -> np.ndarray:
 def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
     """Run the trace set-parallel; the counters and, if asked, per-access hits.
 
-    The accesses are reordered by round: the r-th access of every set
-    goes to round r, and within a round the sets are rows ordered by
-    access count, busiest first, so the sets active in round r are a
-    prefix of the rows and every round works on array views.
+    The trace is stable-sorted by set.  Within a set, a run of accesses
+    to one tag hits from its second access on, and the second leaves the
+    set's tags and LRU order as they were, so every later access of the
+    run repeats the second's survivor count.  Those later accesses are
+    folded into the second, which keeps their number in a weight; this
+    is trace stripping (Wang & Baer, SIGMETRICS 1990).
+
+    The kept accesses are reordered by round: the r-th of every set goes
+    to round r, and within a round the sets are rows ordered by access
+    count, busiest first, so the sets active in round r are a prefix of
+    the rows and every round works on array views.
     """
     addresses = _addresses(state, trace)
     config = state.config
@@ -209,36 +219,54 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
 
     block = addresses >> config.offset_bits
     set_of = (block & (sets - 1)).astype(np.min_scalar_type(sets - 1))
-    requests = block >> config.index_bits
+    request = block >> config.index_bits
     del block
-    counts = np.bincount(set_of, minlength=sets)
     by_set = np.argsort(set_of, kind="stable")
+    set_of, request = set_of[by_set], request[by_set]
+    if not want_outcomes:
+        del by_set
+    repeat = set_of[1:] == set_of[:-1]
+    repeat &= request[1:] == request[:-1]
+    fold = repeat[1:] & repeat[:-1]  # fold[i]: access i + 2 repeats i + 1, which repeats i
+    del repeat
+    weight = None  # 1 + the number of accesses folded into each kept one
+    if fold.any():
+        kept = np.ones(accesses, dtype=bool)
+        kept[2:] = ~fold
+        kept = np.flatnonzero(kept)
+        weight = np.diff(kept, append=accesses)
+        set_of, request = set_of[kept], request[kept]
+        if want_outcomes:
+            by_set = by_set[kept]
+        del kept
+    del fold
+
+    counts = np.bincount(set_of, minlength=sets)
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     row_of = np.empty(sets, dtype=np.intp)
     row_of[rows] = np.arange(rows.size)
-    # active[r]: sets with more than r accesses, i.e. the rows of round r
+    # active[r]: sets with more than r kept accesses, i.e. the rows of round r
     active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
     start = np.zeros(active.size, dtype=np.intp)
     np.cumsum(active[:-1], out=start[1:])
 
-    set_of = set_of[by_set]
-    slot = np.arange(accesses)
+    slot = np.arange(request.size)
     slot -= (np.cumsum(counts) - counts)[set_of]  # occurrence of the access in its set
     slot = start[slot]
     slot += row_of[set_of]
     del set_of, row_of, counts
-    order = np.empty(accesses, dtype=np.intp)  # order[slot] = position in the trace
-    order[slot] = by_set
-    del slot, by_set
-    request = requests[order]
-    del requests
-    if not want_outcomes:
-        del order
+    request = _to_slots(request, slot)
+    if weight is not None:
+        weight = _to_slots(weight, slot)
+    if want_outcomes:
+        order = _to_slots(by_set, slot)  # order[slot] = position in the trace
+        del by_set
+    del slot
 
     tags = state._tags[rows]
     ages = state._ages[rows]
-    hit = np.empty(accesses, dtype=bool)
-    survivors = np.empty(accesses, dtype=np.min_scalar_type(ways))
+    hit = np.empty(request.size, dtype=bool)
+    survivors = np.empty(request.size, dtype=np.min_scalar_type(ways))
     prefix_mask = state._prefix_mask
     clock = state._clock
     row_index = np.arange(rows.size)
@@ -267,8 +295,9 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     state._tags[rows] = tags
     state._ages[rows] = ages
     state._clock = clock + rounds
-    histogram = np.bincount(survivors, minlength=ways + 1).tolist()
-    hits = int(np.count_nonzero(hit))
+    # float64 weighted bins are exact integers: no trace has 2**53 accesses
+    histogram = np.bincount(survivors, weight, ways + 1).astype(np.int64).tolist()
+    hits = int(np.count_nonzero(hit)) + accesses - request.size  # every folded access hits
     tag_bits = config.tag_bits
     stats = SimStats(
         ways=ways,
@@ -282,9 +311,16 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     )
     if not want_outcomes:
         return stats, None
-    outcomes = np.empty(accesses, dtype=bool)
+    outcomes = np.ones(accesses, dtype=bool)  # folded accesses hit
     outcomes[order] = hit
     return stats, outcomes.tolist()
+
+
+def _to_slots(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """A copy of values in which values[i] sits at slot[i]."""
+    moved = np.empty_like(values)
+    moved[slot] = values
+    return moved
 
 
 def _scalar_tail(tags, ages, request, hit, survivors, active, first_stamp, prefix_mask) -> None:

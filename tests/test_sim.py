@@ -241,9 +241,18 @@ DIFFERENTIAL_CONFIGS = (
 
 
 @st.composite
-def differential_traces(draw, config: CacheConfig):
-    """A uniform, stride or zipf-block trace; above 2**64 for wide addresses."""
-    kind = draw(st.sampled_from(TRACE_KINDS))
+def differential_traces(draw, config: CacheConfig, kinds=TRACE_KINDS + ("repeat runs",)):
+    """A uniform, stride or zipf-block trace; above 2**64 for wide addresses.
+
+    A "repeat runs" trace is one of those with each address repeated 1 to 7
+    times, so runs of one, two and three or more accesses to one tag
+    interleave across sets.
+    """
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat runs":
+        trace = draw(differential_traces(config, TRACE_KINDS))
+        rng = random.Random(draw(st.integers(0, 1 << 16)))
+        return [a for a in list(trace) for _ in range(rng.randint(1, 7))][:300]
     length = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 1 << 16))
     bits = min(config.address_bits, 64)
@@ -269,6 +278,34 @@ def differential_traces(draw, config: CacheConfig):
     return [a | (rng.getrandbits(wide) << 64) for a in trace.tolist()]
 
 
+START_STATES = ("cold", "warm", "used, then warm")
+# 0: numpy rounds only; huge: the scalar tail only
+TAIL_THRESHOLDS = (0, sim._SCALAR_TAIL_SETS, 1 << 30)
+
+
+def assert_engine_matches_reference(config, k, start, prefix, trace, tail) -> None:
+    """run_trace and trace_outcomes leave what state.access leaves, state for state."""
+    with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
+        slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
+        if start == "used, then warm":
+            reference_fold(slow, prefix)
+            run_trace(fast, prefix)
+            trace_outcomes(fast_outcomes, prefix)
+        if start != "cold":
+            reference_warm_fill(slow)
+            warm_fill(fast)
+            warm_fill(fast_outcomes)
+        assert all_contents(fast) == all_contents(slow)
+        expected_stats, expected_outcomes = reference_fold(slow, trace)
+        stats = run_trace(fast, trace)
+        outcomes = trace_outcomes(fast_outcomes, trace)
+    assert stats == expected_stats
+    assert outcomes == expected_outcomes
+    expected_contents = all_contents(slow)
+    assert all_contents(fast) == expected_contents
+    assert all_contents(fast_outcomes) == expected_contents
+
+
 class TestDifferential:
     """The set-parallel engine against the scalar reference, state for state."""
 
@@ -278,30 +315,36 @@ class TestDifferential:
         config = data.draw(st.sampled_from(DIFFERENTIAL_CONFIGS), label="config")
         tag_bits = config.tag_bits
         k = data.draw(st.sampled_from([0, tag_bits]) | st.integers(0, tag_bits), label="k")
-        start = data.draw(st.sampled_from(["cold", "warm", "used, then warm"]), label="start")
+        assert_engine_matches_reference(
+            config,
+            k,
+            data.draw(st.sampled_from(START_STATES), label="start"),
+            data.draw(differential_traces(config), label="prefix"),
+            data.draw(differential_traces(config), label="trace"),
+            data.draw(st.sampled_from(TAIL_THRESHOLDS), label="tail"),
+        )
+
+    @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
+    @pytest.mark.parametrize("start", START_STATES)
+    @pytest.mark.parametrize("config", DIFFERENTIAL_CONFIGS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_folded_repeat_runs_match_the_scalar_reference(self, config, start, tail, data):
+        k = data.draw(st.integers(0, config.tag_bits), label="k")
         prefix = data.draw(differential_traces(config), label="prefix")
-        trace = data.draw(differential_traces(config), label="trace")
-        # 0: numpy rounds only; huge: the scalar tail only
-        tail = data.draw(st.sampled_from([0, sim._SCALAR_TAIL_SETS, 1 << 30]), label="tail")
-        with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
-            slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
-            if start == "used, then warm":
-                reference_fold(slow, prefix)
-                run_trace(fast, prefix)
-                trace_outcomes(fast_outcomes, prefix)
-            if start != "cold":
-                reference_warm_fill(slow)
-                warm_fill(fast)
-                warm_fill(fast_outcomes)
-            assert all_contents(fast) == all_contents(slow)
-            expected_stats, expected_outcomes = reference_fold(slow, trace)
-            stats = run_trace(fast, trace)
-            outcomes = trace_outcomes(fast_outcomes, trace)
-        assert stats == expected_stats
-        assert outcomes == expected_outcomes
-        expected_contents = all_contents(slow)
-        assert all_contents(fast) == expected_contents
-        assert all_contents(fast_outcomes) == expected_contents
+        trace = data.draw(differential_traces(config, ("repeat runs",)), label="trace")
+        assert_engine_matches_reference(config, k, start, prefix, trace, tail)
+
+    def test_a_repeated_address_costs_two_rounds(self):
+        repeats = 10**5
+        trace = np.full(repeats, addr(TINY, 5, 2), dtype=np.uint64)
+        counted, traced = CacheState(TINY, k=3), CacheState(TINY, k=3)
+        stats = run_trace(counted, trace)
+        assert (stats.hits, stats.misses) == (repeats - 1, 1)
+        assert stats.matched_way_histogram == [1, repeats - 1, 0, 0, 0]
+        assert trace_outcomes(traced, trace) == [False] + [True] * (repeats - 1)
+        # one round per kept access: the run's first two
+        assert counted._clock <= 2 and traced._clock <= 2
 
     def test_counters_are_python_ints(self):
         stats = run_trace(CacheState(TINY, k=3), uniform_trace(500, seed=3, address_bits=16))
