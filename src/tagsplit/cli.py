@@ -501,11 +501,16 @@ def _load_trace(args):
 def cmd_simulate(args) -> int:
     params = load_params(args.params) if args.params is not None else None
     config, _, k = _configure(args)
-    trace = _load_trace(args)
     state = CacheState(config, k)
+    trace = _load_trace(args)
     if args.warm:
         warm_fill(state)
-    stats = run_trace(state, trace)
+    try:
+        stats = run_trace(state, trace)
+    except ValueError as exc:
+        if args.trace is None:
+            raise
+        raise ValueError(f"{args.trace}: {exc}") from None
     stats.validate(config.tag_bits, k)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     base = baseline_bits(config.tag_bits, config.associativity)

@@ -26,7 +26,6 @@ __all__ = [
     "CacheConfig",
     "SplitEval",
     "baseline_bits",
-    "match_probability",
     "expected_matched_ways",
     "expected_reads",
     "continuous_total_bits",
@@ -112,18 +111,6 @@ def baseline_bits(tag_bits: int, ways: int) -> int:
     return tag_bits * ways
 
 
-def match_probability(k: int) -> float:
-    """Probability that one way's k-bit tag prefix matches the request.
-
-    Tag prefixes are modeled as uncorrelated uniform bit patterns, so a
-    k-bit comparison is a single Bernoulli trial with p = 1/2**k.
-    """
-    k = _check_int("k", k)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return 2.0 ** -k
-
-
 @lru_cache(maxsize=None)
 def _binomial_mean_matches(ways: int, k: int) -> float:
     # Literal binomial expectation sum(i * C(x, i) * p**i * q**(x-i)).
@@ -191,8 +178,8 @@ def expected_reads(tag_bits: int, ways: int, k: int) -> SplitEval:
 def continuous_total_bits(tag_bits: int, ways: int, k: float) -> float:
     """Closed-form expected total with k relaxed to a real number.
 
-    Used by the derivative and optimum machinery; read costs at integer
-    k come from expected_reads.
+    first_derivative and second_derivative are its derivatives in k;
+    read costs at integer k come from expected_reads.
     """
     if not 0.0 <= k <= tag_bits:
         raise ValueError(f"k must be in [0, {tag_bits}], got {k}")

@@ -12,8 +12,7 @@ Empty ways take part in the step-1 comparison like any other way (the
 hardware reads all prefix columns in parallel, so step 1 always costs
 k bits per way) but they can neither survive to step 2 nor hit.
 
-``CacheState.access`` looks up one address at a time and is the
-reference.  ``run_trace`` and ``trace_outcomes`` give the same results
+``run_trace`` and ``trace_outcomes`` fold a trace into a ``CacheState``
 set-parallel: sets are independent, so round r applies the r-th access
 of every set at once as numpy operations on the (sets, ways) arrays.
 Within a set, a run of accesses to one tag hits from its second access
@@ -22,12 +21,14 @@ and later accesses are folded into its second and take no round.
 Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
 those are finished one access at a time, so a hot set whose consecutive
 accesses change tag costs about one scalar step per access instead of
-one numpy round each.
+one numpy round each.  The tests check this engine, state for state,
+against a per-access reference; ``baseline_outcomes`` is an independent
+full-tag reference for the hit/miss sequence alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,7 @@ _SCALAR_TAIL_SETS = 32
 
 @dataclass
 class SimStats:
-    """Access and bit-read counters accumulated over a trace.
+    """Access and bit-read counters of one trace, as run_trace returns them.
 
     matched_way_histogram[s] counts accesses whose step 1 produced
     exactly s valid survivors; its weighted sum times the step-2 width
@@ -58,17 +59,13 @@ class SimStats:
     """
 
     ways: int
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    step1_bit_reads: int = 0
-    step2_bit_reads: int = 0
-    baseline_bit_reads: int = 0
-    matched_way_histogram: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.matched_way_histogram:
-            self.matched_way_histogram = [0] * (self.ways + 1)
+    accesses: int
+    hits: int
+    misses: int
+    step1_bit_reads: int
+    step2_bit_reads: int
+    baseline_bit_reads: int
+    matched_way_histogram: list[int]
 
     @property
     def total_bit_reads(self) -> int:
@@ -128,57 +125,6 @@ class CacheState:
         self._tags = np.zeros(shape, dtype=self._dtype)
         self._ages = np.broadcast_to(np.arange(-ways, 0, dtype=np.int64), shape).copy()
         self._clock = 0  # stamp of the next access
-
-    def lru_ranks(self, set_index: int) -> list[int]:
-        """Rank of each way (0 = least recently used); a permutation."""
-        return np.argsort(np.argsort(self._ages[set_index])).tolist()
-
-    def contents(self, set_index: int) -> list[tuple[bool, int, int]]:
-        """Per-way (valid, tag, lru_rank) view of one set."""
-        ages = self._ages[set_index].tolist()
-        tags = self._tags[set_index].tolist()
-        return [
-            (age >= 0, tag, rank)
-            for age, tag, rank in zip(ages, tags, self.lru_ranks(set_index))
-        ]
-
-    def access(self, address: int, stats: SimStats) -> bool:
-        """Look up one address, updating state and counters; True on hit."""
-        config = self.config
-        address = int(address)
-        if address < 0 or address >> config.address_bits:
-            raise ValueError(
-                f"address {address:#x} outside the {config.address_bits}-bit space"
-            )
-        block = address >> config.offset_bits
-        set_index = block & (config.sets - 1)
-        tag = block >> config.index_bits
-        prefix = tag & self._prefix_mask
-        tags = self._tags[set_index].tolist()
-        ages = self._ages[set_index].tolist()
-        prefix_mask = self._prefix_mask
-        survivors = 0
-        hit_way = -1
-        for way in range(config.associativity):
-            if ages[way] >= 0 and (tags[way] & prefix_mask) == prefix:
-                survivors += 1
-                if tags[way] == tag:
-                    hit_way = way
-        if hit_way >= 0:
-            stats.hits += 1
-            way = hit_way
-        else:
-            stats.misses += 1
-            way = ages.index(min(ages))
-            self._tags[set_index, way] = tag
-        self._ages[set_index, way] = self._clock
-        self._clock += 1
-        stats.accesses += 1
-        stats.step1_bit_reads += self.k * config.associativity
-        stats.step2_bit_reads += survivors * (config.tag_bits - self.k)
-        stats.baseline_bit_reads += config.tag_bits * config.associativity
-        stats.matched_way_histogram[survivors] += 1
-        return hit_way >= 0
 
 
 def _addresses(state: CacheState, trace) -> np.ndarray:
@@ -362,7 +308,7 @@ def _scalar_tail(tags, ages, request, hit, survivors, active, first_stamp, prefi
 
 
 def run_trace(state: CacheState, trace) -> SimStats:
-    """Counters of the trace, as folding each address through state.access."""
+    """Counters of the trace; state ends as if each address were looked up in turn."""
     return _fold(state, trace, want_outcomes=False)[0]
 
 

@@ -13,7 +13,6 @@ from tagsplit.model import (
     expected_matched_ways,
     expected_reads,
     first_derivative,
-    match_probability,
     second_derivative,
 )
 
@@ -88,14 +87,6 @@ class TestBaselineAndProbability:
     def test_baseline_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             baseline_bits(0, 8)
-
-    @pytest.mark.parametrize("k,expected", [(0, 1.0), (1, 0.5), (4, 0.0625), (10, 2.0 ** -10)])
-    def test_match_probability_halves_per_bit(self, k, expected):
-        assert match_probability(k) == expected
-
-    def test_match_probability_rejects_negative(self):
-        with pytest.raises(ValueError):
-            match_probability(-1)
 
 
 class TestExpectedMatchedWays:

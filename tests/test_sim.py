@@ -1,6 +1,12 @@
-"""Trace-driven simulator: LRU mechanics, counters, and invariance."""
+"""Trace-driven simulator: LRU mechanics, counters, and invariance.
+
+The scalar reference, `access` and the `lru_ranks`/`contents` views,
+lives here: it looks up one address at a time, and TestDifferential
+checks the set-parallel engine against it state for state.
+"""
 
 import random
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -30,57 +36,153 @@ def addr(config: CacheConfig, tag: int, set_index: int) -> int:
     return ((tag << config.index_bits) | set_index) << config.offset_bits
 
 
+def access(state: CacheState, address: int) -> tuple[bool, int]:
+    """Look up one address, updating state; (hit, valid ways surviving step 1).
+
+    The per-access reference the set-parallel engine is checked against.
+    """
+    config = state.config
+    address = int(address)
+    if address < 0 or address >> config.address_bits:
+        raise ValueError(f"address {address:#x} outside the {config.address_bits}-bit space")
+    block = address >> config.offset_bits
+    set_index = block & (config.sets - 1)
+    tag = block >> config.index_bits
+    prefix_mask = state._prefix_mask
+    prefix = tag & prefix_mask
+    tags = state._tags[set_index].tolist()
+    ages = state._ages[set_index].tolist()
+    survivors = 0
+    hit_way = -1
+    for way in range(config.associativity):
+        if ages[way] >= 0 and (tags[way] & prefix_mask) == prefix:
+            survivors += 1
+            if tags[way] == tag:
+                hit_way = way
+    if hit_way >= 0:
+        way = hit_way
+    else:
+        way = ages.index(min(ages))
+        state._tags[set_index, way] = tag
+    state._ages[set_index, way] = state._clock
+    state._clock += 1
+    return hit_way >= 0, survivors
+
+
+def lru_ranks(state: CacheState, set_index: int) -> list[int]:
+    """Rank of each way (0 = least recently used); a permutation."""
+    return np.argsort(np.argsort(state._ages[set_index])).tolist()
+
+
+def contents(state: CacheState, set_index: int) -> list[tuple[bool, int, int]]:
+    """Per-way (valid, tag, lru_rank) view of one set."""
+    ages = state._ages[set_index].tolist()
+    tags = state._tags[set_index].tolist()
+    return [
+        (age >= 0, tag, rank) for age, tag, rank in zip(ages, tags, lru_ranks(state, set_index))
+    ]
+
+
+def reference_fold(state: CacheState, trace) -> tuple[SimStats, list[bool]]:
+    """Counters and outcomes of the trace, one access at a time."""
+    config = state.config
+    ways, tag_bits, k = config.associativity, config.tag_bits, state.k
+    accesses = hits = step1 = step2 = baseline = 0
+    histogram = [0] * (ways + 1)
+    outcomes = []
+    for address in trace:
+        hit, survivors = access(state, address)
+        accesses += 1
+        hits += hit
+        step1 += k * ways
+        step2 += survivors * (tag_bits - k)
+        baseline += tag_bits * ways
+        histogram[survivors] += 1
+        outcomes.append(hit)
+    stats = SimStats(ways, accesses, hits, accesses - hits, step1, step2, baseline, histogram)
+    return stats, outcomes
+
+
+ENGINES = {
+    "reference": lambda state, trace: reference_fold(state, trace)[0],
+    "run_trace": run_trace,
+}
+each_engine = pytest.mark.parametrize("engine", sorted(ENGINES))
+
+
+class OneByOne:
+    """Lookups of one address per engine call; the counters of all calls add up."""
+
+    def __init__(self, engine: str, state: CacheState):
+        self.engine, self.state, self.runs = ENGINES[engine], state, []
+
+    def __call__(self, address: int) -> bool:
+        """Look up one address; True on hit."""
+        self.runs.append(self.engine(self.state, [address]))
+        return self.runs[-1].hits == 1
+
+    @property
+    def stats(self) -> SimStats:
+        """The counters of every call so far, added up."""
+        counters = [sum(getattr(run, f.name) for run in self.runs) for f in fields(SimStats)[1:-1]]
+        histogram = [sum(c) for c in zip(*(run.matched_way_histogram for run in self.runs))]
+        return SimStats(self.state.config.associativity, *counters, histogram)
+
+
 class TestAccessBasics:
-    def test_first_access_misses(self):
-        state = CacheState(MICRO, k=3)
-        stats = SimStats(ways=2)
-        assert state.access(addr(MICRO, 5, 0), stats) is False
+    @each_engine
+    def test_first_access_misses(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
+        assert lookup(addr(MICRO, 5, 0)) is False
+        stats = lookup.stats
         assert (stats.accesses, stats.hits, stats.misses) == (1, 0, 1)
         assert stats.step1_bit_reads == 3 * 2
         assert stats.step2_bit_reads == 0  # both ways were empty
         assert stats.matched_way_histogram == [1, 0, 0]
 
-    def test_repeated_address_hits_after_the_fill(self):
-        state = CacheState(MICRO, k=3)
+    @each_engine
+    def test_repeated_address_hits_after_the_fill(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
         address = addr(MICRO, 5, 1)
-        stats = SimStats(ways=2)
         for _ in range(100):
-            state.access(address, stats)
+            lookup(address)
+        stats = lookup.stats
         assert (stats.hits, stats.misses) == (99, 1)
         # every hit saw exactly one survivor
         assert stats.matched_way_histogram[1] == 99
 
-    def test_fills_use_empty_ways_before_evicting(self):
-        state = CacheState(MICRO, k=3)
-        stats = SimStats(ways=2)
-        state.access(addr(MICRO, 1, 0), stats)
-        state.access(addr(MICRO, 2, 0), stats)
-        assert state.access(addr(MICRO, 1, 0), stats) is True
-        assert state.access(addr(MICRO, 2, 0), stats) is True
+    @each_engine
+    def test_fills_use_empty_ways_before_evicting(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
+        lookup(addr(MICRO, 1, 0))
+        lookup(addr(MICRO, 2, 0))
+        assert lookup(addr(MICRO, 1, 0)) is True
+        assert lookup(addr(MICRO, 2, 0)) is True
 
-    def test_evicts_the_least_recently_used_way(self):
-        state = CacheState(MICRO, k=3)
-        stats = SimStats(ways=2)
+    @each_engine
+    def test_evicts_the_least_recently_used_way(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
         t = lambda tag: addr(MICRO, tag, 0)
-        state.access(t(0), stats)  # miss, fills
-        state.access(t(1), stats)  # miss, fills
-        state.access(t(0), stats)  # hit, tag 1 becomes LRU
-        state.access(t(2), stats)  # miss, must evict tag 1
-        assert state.access(t(2), stats) is True
-        assert state.access(t(0), stats) is True
-        assert state.access(t(1), stats) is False
+        lookup(t(0))  # miss, fills
+        lookup(t(1))  # miss, fills
+        lookup(t(0))  # hit, tag 1 becomes LRU
+        lookup(t(2))  # miss, must evict tag 1
+        assert lookup(t(2)) is True
+        assert lookup(t(0)) is True
+        assert lookup(t(1)) is False
 
-    def test_sets_are_independent(self):
-        state = CacheState(MICRO, k=3)
-        stats = SimStats(ways=2)
-        state.access(addr(MICRO, 7, 0), stats)
-        assert state.access(addr(MICRO, 7, 1), stats) is False
-        assert state.access(addr(MICRO, 7, 0), stats) is True
+    @each_engine
+    def test_sets_are_independent(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
+        lookup(addr(MICRO, 7, 0))
+        assert lookup(addr(MICRO, 7, 1)) is False
+        assert lookup(addr(MICRO, 7, 0)) is True
 
-    def test_rejects_addresses_outside_the_space(self):
-        state = CacheState(MICRO, k=3)
+    @each_engine
+    def test_rejects_addresses_outside_the_space(self, engine):
+        lookup = OneByOne(engine, CacheState(MICRO, k=3))
         with pytest.raises(ValueError, match="16-bit"):
-            state.access(1 << 16, SimStats(ways=2))
+            lookup(1 << 16)
 
     @pytest.mark.parametrize("k", [-1, 10, 2.5])
     def test_rejects_bad_splitting_points(self, k):
@@ -94,21 +196,19 @@ class TestAccessBasics:
 class TestStateViews:
     def test_lru_ranks_is_a_permutation(self):
         state = CacheState(TINY, k=3)
-        stats = SimStats(ways=4)
         for tag in (3, 1, 4, 1, 5, 9, 2, 6):
-            state.access(addr(TINY, tag, 2), stats)
+            access(state, addr(TINY, tag, 2))
         for s in range(state.config.sets):
-            assert sorted(state.lru_ranks(s)) == [0, 1, 2, 3]
+            assert sorted(lru_ranks(state, s)) == [0, 1, 2, 3]
 
     def test_contents_tracks_fills_and_recency(self):
         state = CacheState(MICRO, k=3)
-        stats = SimStats(ways=2)
-        state.access(addr(MICRO, 4, 0), stats)
-        state.access(addr(MICRO, 6, 0), stats)
-        state.access(addr(MICRO, 4, 0), stats)
-        entries = state.contents(0)
+        access(state, addr(MICRO, 4, 0))
+        access(state, addr(MICRO, 6, 0))
+        access(state, addr(MICRO, 4, 0))
+        entries = contents(state, 0)
         assert sorted(entries) == [(True, 4, 1), (True, 6, 0)]
-        assert all(not valid for valid, _, _ in state.contents(1))
+        assert all(not valid for valid, _, _ in contents(state, 1))
 
 
 class TestCounters:
@@ -126,9 +226,10 @@ class TestCounters:
 
     def test_k_zero_reads_every_valid_way_in_full(self):
         state = CacheState(MICRO, k=0)
-        stats = SimStats(ways=2)
-        state.access(addr(MICRO, 1, 0), stats)  # fill one way
-        state.access(addr(MICRO, 2, 0), stats)  # one valid way survives
+        stats, _ = reference_fold(state, [
+            addr(MICRO, 1, 0),  # fill one way
+            addr(MICRO, 2, 0),  # one valid way survives
+        ])
         assert stats.step1_bit_reads == 0
         assert stats.step2_bit_reads == 9 * 1
         stats.validate(tag_bits=9, k=0)
@@ -148,7 +249,7 @@ class TestCounters:
             trace_outcomes(state, [])
 
     def test_stats_refuse_rates_before_any_access(self):
-        stats = SimStats(ways=4)
+        stats = SimStats(4, 0, 0, 0, 0, 0, 0, [0] * 5)
         with pytest.raises(ValueError, match="no accesses"):
             stats.bits_per_access
         with pytest.raises(ValueError, match="no accesses"):
@@ -184,13 +285,13 @@ class TestWarmFill:
         state = CacheState(TINY, k=3)
         warm_fill(state)
         for s in range(state.config.sets):
-            assert all(valid for valid, _, _ in state.contents(s))
+            assert all(valid for valid, _, _ in contents(state, s))
 
     def test_fills_with_distinct_tags_per_set(self):
         state = CacheState(TINY, k=3)
         warm_fill(state)
         for s in range(state.config.sets):
-            tags = [tag for _, tag, _ in state.contents(s)]
+            tags = [tag for _, tag, _ in contents(state, s)]
             assert len(set(tags)) == len(tags)
 
     def test_small_tag_spaces_fill_what_they_can(self):
@@ -202,27 +303,19 @@ class TestWarmFill:
         state = CacheState(config, k=1)
         warm_fill(state)
         for s in (0, 100, 255):
-            assert sum(valid for valid, _, _ in state.contents(s)) == 4
-
-
-def reference_fold(state: CacheState, trace) -> tuple[SimStats, list[bool]]:
-    """Counters and outcomes of the trace, one state.access at a time."""
-    stats = SimStats(ways=state.config.associativity)
-    outcomes = [state.access(address, stats) for address in trace]
-    return stats, outcomes
+            assert sum(valid for valid, _, _ in contents(state, s)) == 4
 
 
 def reference_warm_fill(state: CacheState) -> None:
     """The warm fill as a per-access loop: tag t into every set, t = 0, 1, ..."""
     config = state.config
-    scratch = SimStats(ways=config.associativity)
     for tag in range(min(config.associativity, 1 << config.tag_bits)):
         for set_index in range(config.sets):
-            state.access(addr(config, tag, set_index), scratch)
+            access(state, addr(config, tag, set_index))
 
 
 def all_contents(state: CacheState) -> list:
-    return [state.contents(s) for s in range(state.config.sets)]
+    return [contents(state, s) for s in range(state.config.sets)]
 
 
 DIFFERENTIAL_CONFIGS = (
@@ -284,7 +377,7 @@ TAIL_THRESHOLDS = (0, sim._SCALAR_TAIL_SETS, 1 << 30)
 
 
 def assert_engine_matches_reference(config, k, start, prefix, trace, tail) -> None:
-    """run_trace and trace_outcomes leave what state.access leaves, state for state."""
+    """run_trace and trace_outcomes leave what the reference leaves, state for state."""
     with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
         slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
         if start == "used, then warm":
