@@ -107,8 +107,7 @@ class CacheState:
     Each way holds a tag and an LRU age stamp; the larger stamp is the
     more recent.  Empty ways carry negative stamps, so they are the
     least recently used and fill in way order before any eviction.
-    Tags are uint64 when addresses fit in 64 bits and Python ints
-    (object arrays) otherwise.
+    Tags are uint64 at every address width, as traces are (see _addresses).
     """
 
     def __init__(self, config: CacheConfig, k: int):
@@ -118,30 +117,31 @@ class CacheState:
             )
         self.config = config
         self.k = int(k)
-        self._prefix_mask = (1 << self.k) - 1
-        self._dtype = np.dtype(np.uint64 if config.address_bits <= 64 else object)
         ways = config.associativity
         shape = (config.sets, ways)
-        self._tags = np.zeros(shape, dtype=self._dtype)
+        self._tags = np.zeros(shape, dtype=np.uint64)
         self._ages = np.broadcast_to(np.arange(-ways, 0, dtype=np.int64), shape).copy()
         self._clock = 0  # stamp of the next access
 
 
-def _addresses(state: CacheState, trace) -> np.ndarray:
-    """The trace as a 1-D array of the state's tag dtype.
+def _addresses(address_bits: int, trace) -> np.ndarray:
+    """The trace as a 1-D uint64 array, the tag type at every address width.
 
-    Every address is checked against the address space before the caller
-    touches the state, so a rejected trace leaves the cache as it was.
+    Every address must lie in the address space and below 2**64.  Callers
+    check before they touch a state, so a rejected trace leaves it as it was.
     """
     if not (isinstance(trace, np.ndarray) and trace.dtype.kind in "iu"):
-        trace = np.array([int(a) for a in trace], dtype=object)
-    if trace.size == 0:
+        trace = [int(a) for a in trace]
+    if len(trace) == 0:
         raise ValueError("cannot simulate an empty trace")
-    bits = state.config.address_bits
-    if int(trace.min()) < 0 or int(trace.max()) >> bits:
-        bad = next(a for a in trace.tolist() if a < 0 or a >> bits)
-        raise ValueError(f"address {bad:#x} outside the {bits}-bit space")
-    return trace.astype(state._dtype, copy=False)
+    bits = min(address_bits, 64)
+    low, high = (min(trace), max(trace)) if isinstance(trace, list) else (trace.min(), trace.max())
+    if int(low) < 0 or int(high) >> bits:
+        bad = next(int(a) for a in trace if a < 0 or int(a) >> bits)
+        if bad > 0 and address_bits > 64:
+            raise ValueError(f"address {bad:#x} does not fit in 64 bits")
+        raise ValueError(f"address {bad:#x} outside the {address_bits}-bit space")
+    return np.asarray(trace, dtype=np.uint64)
 
 
 def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
@@ -159,7 +159,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     count, busiest first, so the sets active in round r are a prefix of
     the rows and every round works on array views.
     """
-    addresses = _addresses(state, trace)
+    addresses = _addresses(state.config.address_bits, trace)
     config = state.config
     sets, ways, accesses = config.sets, config.associativity, addresses.size
 
@@ -213,7 +213,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     ages = state._ages[rows]
     hit = np.empty(request.size, dtype=bool)
     survivors = np.empty(request.size, dtype=np.min_scalar_type(ways))
-    prefix_mask = state._prefix_mask
+    prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
     clock = state._clock
     row_index = np.arange(rows.size)
     rounds = active.size
@@ -333,8 +333,8 @@ def warm_fill(state: CacheState) -> None:
         state._ages[:, :distinct_tags] = state._clock + np.arange(distinct_tags)
         state._clock += distinct_tags
         return
-    tag = np.repeat(np.arange(distinct_tags), config.sets).astype(state._dtype)
-    set_index = np.tile(np.arange(config.sets), distinct_tags).astype(state._dtype)
+    tag = np.repeat(np.arange(distinct_tags, dtype=np.uint64), config.sets)
+    set_index = np.tile(np.arange(config.sets, dtype=np.uint64), distinct_tags)
     _fold(state, ((tag << config.index_bits) | set_index) << config.offset_bits, False)
 
 
@@ -369,12 +369,11 @@ def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
 def invariance_check(config: CacheConfig, trace, k_values) -> bool:
     """True iff every splitting point reproduces the baseline outcomes.
 
-    Runs the trace once per k from a cold cache and compares the full
-    per-access hit/miss sequence (not just the totals) against the
-    single-step reference.
+    Checks the trace once, then runs it once per k from a cold cache and
+    compares the full per-access hit/miss sequence (not just the totals)
+    against the single-step reference.
     """
-    if not isinstance(trace, np.ndarray):
-        trace = [int(a) for a in trace]
+    trace = _addresses(config.address_bits, trace)
     reference = baseline_outcomes(config, trace)
     for k in k_values:
         if trace_outcomes(CacheState(config, k), trace) != reference:

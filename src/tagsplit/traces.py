@@ -59,6 +59,12 @@ def _check_length(length: int) -> int:
     return int(length)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _address_mask(address_bits: int) -> np.uint64:
     if not 1 <= address_bits <= 64:
         raise ValueError(f"generated addresses must fit in 1..64 bits, got {address_bits!r}")
@@ -69,8 +75,7 @@ def uniform_trace(length: int, seed: int, address_bits: int = 40) -> np.ndarray:
     """Independent addresses uniform over the whole address space."""
     length = _check_length(length)
     high = int(_address_mask(address_bits))
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, high, size=length, dtype=np.uint64, endpoint=True)
+    return _rng(seed).integers(0, high, size=length, dtype=np.uint64, endpoint=True)
 
 
 def stride_trace(length: int, stride: int = 64, base: int = 0, address_bits: int = 40) -> np.ndarray:
@@ -115,8 +120,7 @@ def zipf_block_trace(
         )
     ranks = np.arange(1, num_blocks + 1, dtype=np.float64)
     weights = ranks ** -float(exponent)
-    rng = np.random.default_rng(seed)
-    blocks = rng.choice(num_blocks, size=length, p=weights / weights.sum())
+    blocks = _rng(seed).choice(num_blocks, size=length, p=weights / weights.sum())
     return blocks.astype(np.uint64) * np.uint64(block_size)
 
 

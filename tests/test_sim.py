@@ -30,6 +30,8 @@ from tagsplit.traces import TRACE_KINDS, stride_trace, uniform_trace, zipf_block
 MICRO = CacheConfig(cache_size=256, block_size=64, associativity=2, address_bits=16)
 # 4 sets, 4 ways, tag_bits = 16 - 2 - 6 = 8
 TINY = CacheConfig(cache_size=1024, block_size=64, associativity=4, address_bits=16)
+# 64 sets, 2 ways, tag_bits = 72 - 6 - 6 = 60
+WIDE = CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=72)
 
 
 def addr(config: CacheConfig, tag: int, set_index: int) -> int:
@@ -48,7 +50,7 @@ def access(state: CacheState, address: int) -> tuple[bool, int]:
     block = address >> config.offset_bits
     set_index = block & (config.sets - 1)
     tag = block >> config.index_bits
-    prefix_mask = state._prefix_mask
+    prefix_mask = (1 << state.k) - 1
     prefix = tag & prefix_mask
     tags = state._tags[set_index].tolist()
     ages = state._ages[set_index].tolist()
@@ -327,15 +329,15 @@ DIFFERENTIAL_CONFIGS = (
     CacheConfig(cache_size=16 * 1024, block_size=64, associativity=4, address_bits=20),
     # 256 sets of 8 ways but only 2 tag bits: the warm fill is partial
     CacheConfig(cache_size=128 * 1024, block_size=64, associativity=8, address_bits=16),
-    # wider than 64 bits: 60 and 68 tag bits
-    CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=72),
+    # wider than 64 bits, fed addresses below 2**64: 60 and 68 tag bits
+    WIDE,
     CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=80),
 )
 
 
 @st.composite
 def differential_traces(draw, config: CacheConfig, kinds=TRACE_KINDS + ("repeat runs",)):
-    """A uniform, stride or zipf-block trace; above 2**64 for wide addresses.
+    """A uniform, stride or zipf-block trace of addresses below 2**64.
 
     A "repeat runs" trace is one of those with each address repeated 1 to 7
     times, so runs of one, two and three or more accesses to one tag
@@ -364,11 +366,7 @@ def differential_traces(draw, config: CacheConfig, kinds=TRACE_KINDS + ("repeat 
             length, seed, num_blocks=draw(st.sampled_from([4, 64, 1024])),
             block_size=config.block_size, address_bits=bits,
         )
-    if config.address_bits <= 64:
-        return trace
-    rng = random.Random(seed)
-    wide = config.address_bits - 64
-    return [a | (rng.getrandbits(wide) << 64) for a in trace.tolist()]
+    return trace
 
 
 START_STATES = ("cold", "warm", "used, then warm")
@@ -423,7 +421,8 @@ class TestDifferential:
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_folded_repeat_runs_match_the_scalar_reference(self, config, start, tail, data):
-        k = data.draw(st.integers(0, config.tag_bits), label="k")
+        tag_bits = config.tag_bits
+        k = data.draw(st.sampled_from([0, tag_bits]) | st.integers(0, tag_bits), label="k")
         prefix = data.draw(differential_traces(config), label="prefix")
         trace = data.draw(differential_traces(config, ("repeat runs",)), label="trace")
         assert_engine_matches_reference(config, k, start, prefix, trace, tail)
@@ -456,21 +455,22 @@ class TestDifferential:
 
 class TestTraceValidation:
     @pytest.mark.parametrize(
-        "trace,bad",
+        "config,trace,message",
         [
-            ([5, 1 << 17, 1 << 16], "0x20000"),
-            ([-1, 7], "-0x1"),
-            ([3, 1 << 64], "0x10000000000000000"),
-            (np.array([64, 1 << 40], dtype=np.uint64), "0x10000000000"),
-            (np.array([64, -64], dtype=np.int64), "-0x40"),
+            (TINY, [5, 1 << 17, 1 << 16], "0x20000 outside the 16-bit space"),
+            (TINY, [-1, 7], "-0x1 outside the 16-bit space"),
+            (TINY, [3, 1 << 64], "0x10000000000000000 outside the 16-bit space"),
+            (TINY, np.array([64, 1 << 40], dtype=np.uint64), "0x10000000000 outside the 16-bit"),
+            (TINY, np.array([64, -64], dtype=np.int64), "-0x40 outside the 16-bit space"),
+            (WIDE, [3, 1 << 64], "0x10000000000000000 does not fit in 64 bits"),
         ],
     )
-    def test_a_rejected_trace_leaves_the_state_unchanged(self, trace, bad):
-        state = CacheState(TINY, k=3)
+    def test_a_rejected_trace_leaves_the_state_unchanged(self, config, trace, message):
+        state = CacheState(config, k=3)
         warm_fill(state)
         run_trace(state, uniform_trace(300, seed=5, address_bits=16))
         before = all_contents(state)
-        message = f"address {bad} outside the 16-bit space"
+        message = f"address {message}"
         with pytest.raises(ValueError, match=message):
             run_trace(state, trace)
         with pytest.raises(ValueError, match=message):

@@ -74,6 +74,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="length"):
             uniform_trace(length, seed=0)
 
+    @pytest.mark.parametrize("generator", [uniform_trace, zipf_block_trace])
+    def test_rejects_a_negative_seed(self, generator):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            generator(5, seed=-3)
+
     def test_rejects_bad_zipf_exponent(self):
         with pytest.raises(ValueError, match="exponent"):
             zipf_block_trace(10, seed=0, exponent=0.0)
