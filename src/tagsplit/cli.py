@@ -278,7 +278,7 @@ def _split_runs(tag_bits: int, ways: int, ks: range, encode, params) -> list[tup
     # tag too short to have an optimum
     evs = [expected_reads(tag_bits, ways, k) for k in ks]
     opt = k_min_integer(tag_bits, ways)
-    optimum = (opt.k_optimal, opt.k_min, opt.k_min == round(opt.k_optimal))
+    optimum = (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)
     base = baseline_bits(tag_bits, ways)
     runs = []
     for ev in evs:
@@ -448,7 +448,7 @@ def cmd_analyze(args) -> int:
     print(f"baseline_bits_per_access: {baseline_bits(config.tag_bits, config.associativity)}")
     print(f"k_optimal: {format_value(opt.k_optimal)}")
     print(f"k_min: {opt.k_min}")
-    print(f"is_round_of_continuous: {format_value(opt.k_min == round(opt.k_optimal))}")
+    print(f"is_round_of_continuous: {format_value(opt.is_round_of_continuous)}")
     print(f"k: {ev.k}")
     print(f"first_step_bits: {format_value(ev.first_step_bits)}")
     print(f"expected_second_step_bits: {format_value(ev.expected_second_step_bits)}")

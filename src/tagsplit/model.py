@@ -164,7 +164,7 @@ def expected_reads(tag_bits: int, ways: int, k: int) -> SplitEval:
     if not 0 <= k <= tag_bits:
         raise ValueError(f"k must be in [0, {tag_bits}], got {k}")
     first = k * ways
-    second = (tag_bits - k) * expected_matched_ways(ways, k)
+    second = (tag_bits - k) * _binomial_mean_matches(ways, k)
     total = first + second
     return SplitEval(
         k=k,

@@ -40,6 +40,7 @@ class OptimumResult:
 
     k_optimal: float
     k_min: int
+    is_round_of_continuous: bool
     total_at_k_min: float
     residual: float
 
@@ -115,6 +116,7 @@ def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
     return OptimumResult(
         k_optimal=k_opt,
         k_min=best_k,
+        is_round_of_continuous=best_k == round(k_opt),
         total_at_k_min=chosen.total_bits,
         residual=first_derivative(tag_bits, ways, k_opt),
     )
@@ -138,7 +140,5 @@ def round_function_report(tag_bits_values: Iterable[int]) -> list[int]:
     (the first case is tag_bits = 69).  Callers get a report instead of
     an assertion.
     """
-    return [
-        n for n in sorted(set(tag_bits_values))
-        if k_min_integer(n, 1).k_min != round(k_optimal_continuous(n))
-    ]
+    return [n for n in sorted(set(tag_bits_values))
+            if not k_min_integer(n, 1).is_round_of_continuous]

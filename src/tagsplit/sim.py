@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CacheConfig
+from .traces import as_addresses
 
 __all__ = [
     "SimStats",
@@ -107,7 +108,7 @@ class CacheState:
     Each way holds a tag and an LRU age stamp; the larger stamp is the
     more recent.  Empty ways carry negative stamps, so they are the
     least recently used and fill in way order before any eviction.
-    Tags are uint64 at every address width, as traces are (see _addresses).
+    Tags are uint64 at every address width, as traces are (see as_addresses).
     """
 
     def __init__(self, config: CacheConfig, k: int):
@@ -122,26 +123,6 @@ class CacheState:
         self._tags = np.zeros(shape, dtype=np.uint64)
         self._ages = np.broadcast_to(np.arange(-ways, 0, dtype=np.int64), shape).copy()
         self._clock = 0  # stamp of the next access
-
-
-def _addresses(address_bits: int, trace) -> np.ndarray:
-    """The trace as a 1-D uint64 array, the tag type at every address width.
-
-    Every address must lie in the address space and below 2**64.  Callers
-    check before they touch a state, so a rejected trace leaves it as it was.
-    """
-    if not (isinstance(trace, np.ndarray) and trace.dtype.kind in "iu"):
-        trace = [int(a) for a in trace]
-    if len(trace) == 0:
-        raise ValueError("cannot simulate an empty trace")
-    bits = min(address_bits, 64)
-    low, high = (min(trace), max(trace)) if isinstance(trace, list) else (trace.min(), trace.max())
-    if int(low) < 0 or int(high) >> bits:
-        bad = next(int(a) for a in trace if a < 0 or int(a) >> bits)
-        if bad > 0 and address_bits > 64:
-            raise ValueError(f"address {bad:#x} does not fit in 64 bits")
-        raise ValueError(f"address {bad:#x} outside the {address_bits}-bit space")
-    return np.asarray(trace, dtype=np.uint64)
 
 
 def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
@@ -159,8 +140,8 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     count, busiest first, so the sets active in round r are a prefix of
     the rows and every round works on array views.
     """
-    addresses = _addresses(state.config.address_bits, trace)
     config = state.config
+    addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
     sets, ways, accesses = config.sets, config.associativity, addresses.size
 
     block = addresses >> config.offset_bits
@@ -351,8 +332,7 @@ def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:
     index_mask = config.sets - 1
     resident: list[list[int]] = [[] for _ in range(config.sets)]
     outcomes = []
-    addresses = trace.tolist() if isinstance(trace, np.ndarray) else map(int, trace)
-    for address in addresses:
+    for address in as_addresses(trace, config.address_bits).tolist():
         block = address >> offset_bits
         line = resident[block & index_mask]
         tag = block >> index_bits
@@ -373,9 +353,6 @@ def invariance_check(config: CacheConfig, trace, k_values) -> bool:
     compares the full per-access hit/miss sequence (not just the totals)
     against the single-step reference.
     """
-    trace = _addresses(config.address_bits, trace)
+    trace = as_addresses(trace, config.address_bits)
     reference = baseline_outcomes(config, trace)
-    for k in k_values:
-        if trace_outcomes(CacheState(config, k), trace) != reference:
-            return False
-    return True
+    return all(trace_outcomes(CacheState(config, k), trace) == reference for k in k_values)

@@ -14,6 +14,7 @@ unsigned 64-bit words.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 
@@ -22,6 +23,7 @@ import numpy as np
 __all__ = [
     "TRACE_KINDS",
     "TraceParseError",
+    "as_addresses",
     "uniform_trace",
     "stride_trace",
     "zipf_block_trace",
@@ -36,7 +38,7 @@ TRACE_KINDS = ("uniform", "stride", "zipf-block")
 
 _WORD = np.dtype("<u8")
 
-# bytes read per block by read_trace_text
+# bytes read per block by read_trace_text; addresses per block written by write_trace_text
 _TEXT_CHUNK = 1 << 16
 
 # translation table from a byte to its hex value; 16 marks a byte that is
@@ -135,20 +137,41 @@ def generate_trace(kind: str, length: int, seed: int = 0, **params) -> np.ndarra
     raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
 
 
-def _as_word_array(addresses) -> np.ndarray:
+def _index(address) -> int:
     try:
-        arr = np.asarray(addresses, dtype=np.uint64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"trace addresses must be unsigned 64-bit integers: {exc}") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("a trace must be a non-empty one-dimensional sequence")
-    return arr
+        return operator.index(address)
+    except TypeError:
+        raise ValueError(f"address {address!r} is not an integer") from None
+
+
+def as_addresses(addresses, address_bits: int = 64) -> np.ndarray:
+    """The trace as a non-empty 1-D uint64 array, each address in the
+    address_bits space and below 2**64; the first one outside is named.
+
+    A uint64 array is returned without a copy.  Input that is not an
+    integer array goes through operator.index one element at a time, so
+    a float, numpy bool or string is refused instead of truncated.
+    """
+    if isinstance(addresses, np.ndarray) and addresses.ndim != 1:
+        raise ValueError(f"a trace must be one-dimensional, got shape {addresses.shape}")
+    if not (isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu"):
+        addresses = np.array([_index(a) for a in addresses], dtype=object)
+    if len(addresses) == 0:
+        raise ValueError("a trace must not be empty")
+    bits = min(address_bits, 64)
+    if int(addresses.min()) < 0 or int(addresses.max()) >> bits:
+        bad = next(a for a in addresses.tolist() if a < 0 or a >> bits)
+        if bad > 0 and address_bits > 64:
+            raise ValueError(f"address {bad:#x} does not fit in 64 bits")
+        raise ValueError(f"address {bad:#x} outside the {address_bits}-bit space")
+    return addresses.astype(np.uint64, copy=False)
 
 
 def write_trace_text(path, addresses) -> None:
-    arr = _as_word_array(addresses)
+    addresses = as_addresses(addresses)
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{int(a):x}\n" for a in arr)
+        for start in range(0, addresses.size, _TEXT_CHUNK):
+            fh.writelines(f"{a:x}\n" for a in addresses[start : start + _TEXT_CHUNK].tolist())
 
 
 def _line_blocks(fh):
@@ -251,9 +274,9 @@ def read_trace_text(path) -> np.ndarray:
 
 
 def write_trace_binary(path, addresses) -> None:
-    arr = _as_word_array(addresses)
+    addresses = as_addresses(addresses)
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype=_WORD).tobytes())
+        fh.write(np.ascontiguousarray(addresses, dtype=_WORD).tobytes())
 
 
 def read_trace_binary(path) -> np.ndarray:

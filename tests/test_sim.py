@@ -6,6 +6,7 @@ checks the set-parallel engine against it state for state.
 """
 
 import random
+import re
 from dataclasses import fields
 from unittest import mock
 
@@ -24,7 +25,15 @@ from tagsplit.sim import (
     trace_outcomes,
     warm_fill,
 )
-from tagsplit.traces import TRACE_KINDS, stride_trace, uniform_trace, zipf_block_trace
+from tagsplit.traces import (
+    TRACE_KINDS,
+    as_addresses,
+    stride_trace,
+    uniform_trace,
+    write_trace_binary,
+    write_trace_text,
+    zipf_block_trace,
+)
 
 # 2 sets, 2 ways, tag_bits = 16 - 1 - 6 = 9
 MICRO = CacheConfig(cache_size=256, block_size=64, associativity=2, address_bits=16)
@@ -477,6 +486,63 @@ class TestTraceValidation:
             trace_outcomes(state, trace)
         assert all_contents(state) == before
         assert run_trace(state, [0]).accesses == 1
+
+
+# every public function that takes a trace, by name, as call(state, path, trace)
+TRACE_TAKERS = {
+    "run_trace": lambda state, path, trace: run_trace(state, trace),
+    "trace_outcomes": lambda state, path, trace: trace_outcomes(state, trace),
+    "invariance_check": lambda state, path, trace: invariance_check(state.config, trace, [0, 3]),
+    "baseline_outcomes": lambda state, path, trace: baseline_outcomes(state.config, trace),
+    "write_trace_text": lambda state, path, trace: write_trace_text(path, trace),
+    "write_trace_binary": lambda state, path, trace: write_trace_binary(path, trace),
+}
+
+
+class TestTraceContract:
+    """One contract for every trace a caller passes: traces.as_addresses."""
+
+    @pytest.mark.parametrize("taker", TRACE_TAKERS)
+    @pytest.mark.parametrize(
+        "trace,message",
+        [
+            ([64.9, 64.2], "address 64.9 is not an integer"),
+            (np.array([64.0]), "address np.float64(64.0) is not an integer"),
+            (np.array([True, False]), "address np.True_ is not an integer"),
+            (["64"], "address '64' is not an integer"),
+            ([np.float32(1)], "address np.float32(1.0) is not an integer"),
+            (np.array(5), "a trace must be one-dimensional, got shape ()"),
+            (np.array([[64, 128]]), "a trace must be one-dimensional, got shape (1, 2)"),
+            (np.array([-3], dtype=np.int64), "address -0x3 outside the {bits}-bit space"),
+            ([], "a trace must not be empty"),
+        ],
+        ids=["floats", "float-array", "bool-array", "string", "numpy-float", "0-d", "2-d",
+             "negative", "empty"],
+    )
+    def test_a_bad_trace_is_refused_before_anything_changes(self, taker, trace, message, tmp_path):
+        state = CacheState(TINY, k=3)
+        run_trace(state, uniform_trace(300, seed=5, address_bits=16))
+        before = (state._tags.copy(), state._ages.copy(), state._clock)
+        path = tmp_path / "t.trace"
+        bits = 64 if taker.startswith("write") else TINY.address_bits
+        with pytest.raises(ValueError, match=re.escape(message.format(bits=bits))):
+            TRACE_TAKERS[taker](state, path, trace)
+        assert np.array_equal(state._tags, before[0])
+        assert np.array_equal(state._ages, before[1])
+        assert state._clock == before[2]
+        assert not path.exists()
+
+    def test_a_uint64_array_is_not_copied(self):
+        trace = uniform_trace(100, seed=1, address_bits=16)
+        assert np.shares_memory(as_addresses(trace, 16), trace)
+
+    @pytest.mark.parametrize(
+        "trace", [[64, True, np.int64(7)], np.array([64, 1], dtype=np.int8), range(64, 66)]
+    )
+    def test_integers_of_any_type_are_accepted(self, trace):
+        addresses = as_addresses(trace, 16)
+        assert addresses.dtype == np.uint64
+        assert addresses.tolist() == [int(a) for a in trace]
 
 
 class TestStatisticalAgreement:
