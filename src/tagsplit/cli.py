@@ -544,7 +544,7 @@ def cmd_simulate(args) -> int:
     print("note: baseline is the same trace under a single-step comparison (k = n)")
     if params is not None:
         energy_ratio, mttf_ratio = ratios_from_bits(
-            ev.total_bits * stats.accesses, base * stats.accesses, stats.accesses, params
+            stats.total_bit_reads, stats.baseline_bit_reads, stats.accesses, params
         )
         row.update(
             energy_joules=tag_energy(stats.total_bit_reads, stats.accesses, params),

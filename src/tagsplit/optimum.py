@@ -7,9 +7,9 @@ The argument 2**n * e overflows doubles long before n reaches 128, so
 the solver works on logarithms throughout: it finds w from
 w + ln w = n*ln2 + 1 and never materializes 2**n * e.
 
-The best integer splitting point is found once per tag length by
-exhaustive comparison of the per-way totals; convexity confines it to
-the floor or ceiling of the continuous optimum, which is asserted.
+The cost is convex in k, so the best integer splitting point is the
+floor or the ceiling of the continuous optimum: one comparison of two
+per-way totals per tag length, with no search over k.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .model import LN2, expected_reads, first_derivative, second_derivative
+from .model import LN2, continuous_total_bits, expected_reads, first_derivative, second_derivative
 
 __all__ = [
     "OptimumResult",
@@ -77,20 +77,17 @@ def k_optimal_continuous(tag_bits: int) -> float:
 
 @lru_cache(maxsize=None)
 def _per_way_argmin(tag_bits: int) -> tuple[int, float]:
-    """(integer argmin, continuous optimum) of the per-way total k + (n-k)/2**k."""
-    best_k = 0
-    best_total = expected_reads(tag_bits, 1, 0).total_bits
-    for k in range(1, tag_bits + 1):
-        total = expected_reads(tag_bits, 1, k).total_bits
-        if total < best_total:
-            best_k, best_total = k, total
+    """(integer argmin, continuous optimum) of the per-way total k + (n-k)/2**k.
+
+    The total is convex in k, so its integer argmin is the floor or the
+    ceiling of the continuous optimum: whichever costs less, the floor
+    on a tie.  The optimum lies below tag_bits, so both are valid k.
+    """
     k_opt = k_optimal_continuous(tag_bits)
-    if best_k not in (math.floor(k_opt), math.ceil(k_opt)):
-        raise AssertionError(
-            f"integer argmin {best_k} escaped [floor, ceil] of the continuous "
-            f"optimum {k_opt!r} for tag_bits={tag_bits}; the cost should be convex"
-        )
-    return best_k, k_opt
+    floor = math.floor(k_opt)
+    if continuous_total_bits(tag_bits, 1, floor + 1) < continuous_total_bits(tag_bits, 1, floor):
+        return floor + 1, k_opt
+    return floor, k_opt
 
 
 @lru_cache(maxsize=None)

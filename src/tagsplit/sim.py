@@ -299,24 +299,19 @@ def trace_outcomes(state: CacheState, trace) -> list[bool]:
 
 
 def warm_fill(state: CacheState) -> None:
-    """Fill the cache deterministically so every way holds a valid tag.
+    """Fill a cold cache deterministically so every way holds a valid tag.
 
-    Has the effect of walking sets*ways distinct blocks (tag t into set
-    s for each pair), which fills the whole array when the tag space has
-    at least as many values as there are ways.  Statistics of the
-    warm-up accesses are discarded.  On a cold cache tag t lands in way
-    t of every set, in LRU order, so that state is written directly.
+    Tag t lands in way t of every set, stamped in that order: the state
+    left by walking sets*ways distinct blocks (tag t into set s for each
+    pair) with their statistics discarded.  The whole array fills when
+    the tag space has at least as many values as there are ways.
     """
-    config = state.config
-    distinct_tags = min(config.associativity, 1 << config.tag_bits)
-    if (state._ages < 0).all():
-        state._tags[:, :distinct_tags] = np.arange(distinct_tags)
-        state._ages[:, :distinct_tags] = state._clock + np.arange(distinct_tags)
-        state._clock += distinct_tags
-        return
-    tag = np.repeat(np.arange(distinct_tags, dtype=np.uint64), config.sets)
-    set_index = np.tile(np.arange(config.sets, dtype=np.uint64), distinct_tags)
-    _fold(state, ((tag << config.index_bits) | set_index) << config.offset_bits, False)
+    if state._clock:
+        raise ValueError("warm_fill needs a cold cache; this one has seen accesses")
+    distinct_tags = min(state.config.associativity, 1 << state.config.tag_bits)
+    state._tags[:, :distinct_tags] = np.arange(distinct_tags)
+    state._ages[:, :distinct_tags] = np.arange(distinct_tags)
+    state._clock = distinct_tags
 
 
 def baseline_outcomes(config: CacheConfig, trace) -> list[bool]:

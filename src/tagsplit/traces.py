@@ -276,7 +276,7 @@ def read_trace_text(path) -> np.ndarray:
 def write_trace_binary(path, addresses) -> None:
     addresses = as_addresses(addresses)
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(addresses, dtype=_WORD).tobytes())
+        fh.write(np.ascontiguousarray(addresses, dtype=_WORD).data)
 
 
 def read_trace_binary(path) -> np.ndarray:

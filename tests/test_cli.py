@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tagsplit import cli
+from tagsplit.costs import load_params, mttf_from_bits
 from tagsplit.optimum import k_min_integer
 from tagsplit.cli import (
     CURVE_COLUMNS,
@@ -516,18 +517,26 @@ class TestSimulate:
 
     def test_cost_report_with_params(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
+        params = params_file(tmp_path)
         code = main(
             ["simulate", *self.CONFIG, "--k", "4", "--gen", "uniform",
-             "--length", "1000", "--warm", "--params", params_file(tmp_path),
-             "--out", str(out)]
+             "--length", "1000", "--warm", "--params", params, "--out", str(out)]
         )
         assert code == 0
         report = report_dict(capsys.readouterr().out)
         assert float(report["energy_joules"]) > 0
         assert 0 < float(report["reliability"]) <= 1
         assert float(report["mttf_seconds"]) > 0
-        # n=19, x=8, k=4: 152 baseline vs 39.5 expected
-        assert float(report["mttf_ratio"]) == pytest.approx(152 / 39.5, rel=1e-12)
+        # the run's ratios: this trace's bits against its own k = n baseline
+        run_ratio = float(report["baseline_bits_per_access"]) / float(report["bits_per_access"])
+        assert float(report["mttf_ratio"]) == pytest.approx(run_ratio, rel=1e-12)
+        baseline_mttf = mttf_from_bits(
+            int(report["accesses"]) * float(report["baseline_bits_per_access"]),
+            load_params(params),
+        )
+        assert float(report["mttf_seconds"]) / float(report["mttf_ratio"]) == pytest.approx(
+            baseline_mttf, rel=1e-12
+        )
         cells = dict(
             zip(SIM_COLUMNS, out.read_text().splitlines()[1].split(","))
         )

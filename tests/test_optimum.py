@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsplit import optimum
+from tagsplit import model, optimum
 from tagsplit.cli import main
 from tagsplit.model import LN2, expected_reads, first_derivative
 from tagsplit.optimum import (
@@ -168,6 +168,26 @@ class TestIntegerArgmin:
         k_min_integer(tag_bits, ways)
         assert 1 <= len(calls) <= 3
         assert {args[1] for args in calls} == {ways}
+
+    def test_the_per_tag_length_optimum_evaluates_at_most_two_points(self, monkeypatch):
+        # the floor and the ceiling of the continuous optimum, never a scan over k
+        calls = []
+
+        def counting(function):
+            def counted(*args):
+                calls.append(args)
+                return function(*args)
+            return counted
+
+        for name in ("expected_reads", "continuous_total_bits"):
+            monkeypatch.setattr(optimum, name, counting(getattr(model, name)), raising=False)
+        optimum._per_way_argmin.cache_clear()
+        try:
+            k_min, _ = optimum._per_way_argmin(128)
+        finally:
+            optimum._per_way_argmin.cache_clear()
+        assert k_min == 6
+        assert len(calls) <= 2
 
     @staticmethod
     def lower_neighbour(monkeypatch, neighbour, below):

@@ -316,6 +316,15 @@ class TestWarmFill:
         for s in (0, 100, 255):
             assert sum(valid for valid, _, _ in contents(state, s)) == 4
 
+    def test_a_used_cache_is_refused_and_left_unchanged(self):
+        state = CacheState(TINY, k=3)
+        run_trace(state, [addr(TINY, 5, 2)])
+        tags, ages, clock = state._tags.copy(), state._ages.copy(), state._clock
+        with pytest.raises(ValueError, match="warm_fill needs a cold cache"):
+            warm_fill(state)
+        assert (state._tags == tags).all() and (state._ages == ages).all()
+        assert state._clock == clock
+
 
 def reference_warm_fill(state: CacheState) -> None:
     """The warm fill as a per-access loop: tag t into every set, t = 0, 1, ..."""
@@ -378,7 +387,7 @@ def differential_traces(draw, config: CacheConfig, kinds=TRACE_KINDS + ("repeat 
     return trace
 
 
-START_STATES = ("cold", "warm", "used, then warm")
+START_STATES = ("cold", "warm", "used")
 # 0: numpy rounds only; huge: the scalar tail only
 TAIL_THRESHOLDS = (0, sim._SCALAR_TAIL_SETS, 1 << 30)
 
@@ -387,11 +396,11 @@ def assert_engine_matches_reference(config, k, start, prefix, trace, tail) -> No
     """run_trace and trace_outcomes leave what the reference leaves, state for state."""
     with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
         slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
-        if start == "used, then warm":
+        if start == "used":
             reference_fold(slow, prefix)
             run_trace(fast, prefix)
             trace_outcomes(fast_outcomes, prefix)
-        if start != "cold":
+        if start == "warm":
             reference_warm_fill(slow)
             warm_fill(fast)
             warm_fill(fast_outcomes)

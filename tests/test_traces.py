@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -253,6 +254,23 @@ class TestBinaryFormat:
         write_trace_binary(path, [1, 1 << 40])
         raw = path.read_bytes()
         assert raw == (1).to_bytes(8, "little") + (1 << 40).to_bytes(8, "little")
+
+    def test_a_strided_view_writes_its_own_elements(self, tmp_path):
+        path = tmp_path / "t.bin"
+        trace = uniform_trace(500, seed=10, address_bits=64)
+        write_trace_binary(path, trace[::3])
+        assert np.array_equal(read_trace_binary(path), trace[::3])
+
+    def test_writes_without_a_copy_of_the_trace(self, tmp_path):
+        trace = uniform_trace(1 << 20, seed=10, address_bits=64)  # 8 MiB
+        tracemalloc.start()
+        try:
+            write_trace_binary(tmp_path / "t.bin", trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (tmp_path / "t.bin").read_bytes() == trace.astype("<u8").tobytes()
 
     def test_rejects_torn_files(self, tmp_path):
         path = tmp_path / "t.bin"
