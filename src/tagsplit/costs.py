@@ -117,12 +117,13 @@ def ratios_from_bits(
     The failure rate is linear in bits read (per-bit-independent
     disturbance), so the per-bit factor cancels and the MTTF ratio is
     the exact bit-read ratio; computing it that way avoids collapsing
-    reliabilities of order 1 - 1e-12 into doubles.
+    reliabilities of order 1 - 1e-12 into doubles.  A run that read no
+    bits never fails, so its ratio is infinite, as in mttf_from_bits.
     """
     energy_ratio = tag_energy(split_bits, accesses, params) / tag_energy(
         base_bits, accesses, params
     )
-    return energy_ratio, base_bits / split_bits
+    return energy_ratio, math.inf if split_bits == 0 else base_bits / split_bits
 
 
 def load_params(path) -> CostParams:

@@ -179,7 +179,8 @@ def continuous_total_bits(tag_bits: int, ways: int, k: float) -> float:
     """Closed-form expected total with k relaxed to a real number.
 
     first_derivative and second_derivative are its derivatives in k;
-    read costs at integer k come from expected_reads.
+    k_min_integer compares it at the floor and the ceiling of the
+    optimum, and read costs at integer k come from expected_reads.
     """
     if not 0.0 <= k <= tag_bits:
         raise ValueError(f"k must be in [0, {tag_bits}], got {k}")

@@ -9,7 +9,7 @@ w + ln w = n*ln2 + 1 and never materializes 2**n * e.
 
 The cost is convex in k, so the best integer splitting point is the
 floor or the ceiling of the continuous optimum: one comparison of two
-per-way totals per tag length, with no search over k.
+per-way totals, with no search over k.
 """
 
 from __future__ import annotations
@@ -76,31 +76,20 @@ def k_optimal_continuous(tag_bits: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _per_way_argmin(tag_bits: int) -> tuple[int, float]:
-    """(integer argmin, continuous optimum) of the per-way total k + (n-k)/2**k.
+def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
+    """Best integer splitting point: the floor or the ceiling of the continuous optimum.
 
-    The total is convex in k, so its integer argmin is the floor or the
-    ceiling of the continuous optimum: whichever costs less, the floor
-    on a tie.  The optimum lies below tag_bits, so both are valid k.
+    The cost is convex in k, so its integer argmin is whichever of the two
+    has the lower per-way total k + (n-k)/2**k, the floor on a tie; the
+    optimum lies below tag_bits, so both are valid k.  Associativity only
+    scales the cost, so a point no higher than its two neighbours is the
+    minimum: only k_min - 1 and k_min + 1 are checked at the given
+    associativity, within rounding slack.
     """
     k_opt = k_optimal_continuous(tag_bits)
-    floor = math.floor(k_opt)
-    if continuous_total_bits(tag_bits, 1, floor + 1) < continuous_total_bits(tag_bits, 1, floor):
-        return floor + 1, k_opt
-    return floor, k_opt
-
-
-@lru_cache(maxsize=None)
-def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
-    """Best integer splitting point: the per-tag-length argmin.
-
-    Associativity only scales the cost, so the argmin is taken once per
-    tag length on the per-way totals k + (n-k)/2**k, ties broken toward
-    the smaller k.  The cost is convex, so a point no higher than its
-    two neighbours is the minimum: only k_min - 1 and k_min + 1 are
-    checked at the given associativity, within rounding slack.
-    """
-    best_k, k_opt = _per_way_argmin(tag_bits)
+    best_k = math.floor(k_opt)
+    if continuous_total_bits(tag_bits, 1, best_k + 1) < continuous_total_bits(tag_bits, 1, best_k):
+        best_k += 1
     chosen = expected_reads(tag_bits, ways, best_k)
     for k in (best_k - 1, best_k + 1):
         if 0 <= k <= tag_bits and chosen.total_bits > (

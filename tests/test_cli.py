@@ -544,6 +544,19 @@ class TestSimulate:
             1.0, abs=1e-9
         )
 
+    def test_a_run_that_reads_no_tag_bits_has_an_infinite_mttf_ratio(self, tmp_path, capsys):
+        # k = 0 on a cold cache: the one access finds no valid way, so nothing is read
+        code = main(
+            ["simulate", *self.CONFIG, "--k", "0", "--gen", "uniform",
+             "--length", "1", "--params", params_file(tmp_path)]
+        )
+        assert code == 0
+        report = report_dict(capsys.readouterr().out)
+        assert report["total_bit_reads"] == "0"
+        assert report["mttf_seconds"] == "inf"
+        assert report["mttf_ratio"] == "inf"
+        assert report["energy_ratio"] == "0"
+
     def test_json_lines_row_is_valid_json_without_read_disturbance(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(dict(PARAMS, p_read_disturb=0.0)))

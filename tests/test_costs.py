@@ -188,6 +188,9 @@ class TestNormalizedMetrics:
         many = expected_ratios(23, 8, 4, accesses=10_000)
         assert one == pytest.approx(many, rel=1e-12)
 
+    def test_a_run_that_reads_nothing_never_fails(self):
+        assert ratios_from_bits(0, 184, 1, PARAMS) == (0.0, math.inf)
+
     @given(
         tag_bits=st.integers(2, 64),
         ways=st.sampled_from([1, 2, 4, 8, 16, 64, 512]),

@@ -1,5 +1,6 @@
 """Optimum splitting point: log-domain Lambert solver and integer argmin."""
 
+import collections
 import dataclasses
 import math
 
@@ -157,7 +158,6 @@ class TestIntegerArgmin:
     def test_at_most_three_evaluations_per_associativity(
         self, monkeypatch, uncached_argmin, tag_bits, ways
     ):
-        k_min_integer(tag_bits, 1)  # caches the per-tag-length scan
         calls = []
 
         def counting(*args):
@@ -169,25 +169,26 @@ class TestIntegerArgmin:
         assert 1 <= len(calls) <= 3
         assert {args[1] for args in calls} == {ways}
 
-    def test_the_per_tag_length_optimum_evaluates_at_most_two_points(self, monkeypatch):
-        # the floor and the ceiling of the continuous optimum, never a scan over k
-        calls = []
+    def test_the_per_tag_length_optimum_evaluates_at_most_two_points(
+        self, monkeypatch, uncached_argmin
+    ):
+        # the floor and the ceiling of the continuous optimum, never a scan
+        # over k; expected_reads is called only by the neighbour check
+        calls = collections.Counter()
 
-        def counting(function):
+        def counting(name):
+            function = getattr(model, name)
+
             def counted(*args):
-                calls.append(args)
+                calls[name] += 1
                 return function(*args)
             return counted
 
         for name in ("expected_reads", "continuous_total_bits"):
-            monkeypatch.setattr(optimum, name, counting(getattr(model, name)), raising=False)
-        optimum._per_way_argmin.cache_clear()
-        try:
-            k_min, _ = optimum._per_way_argmin(128)
-        finally:
-            optimum._per_way_argmin.cache_clear()
-        assert k_min == 6
-        assert len(calls) <= 2
+            monkeypatch.setattr(optimum, name, counting(name))
+        assert k_min_integer(128, 1).k_min == 6
+        assert calls["continuous_total_bits"] <= 2
+        assert calls["expected_reads"] <= 3
 
     @staticmethod
     def lower_neighbour(monkeypatch, neighbour, below):
