@@ -14,7 +14,12 @@ k bits per way) but they can neither survive to step 2 nor hit.
 
 ``run_trace`` and ``trace_outcomes`` fold a trace into a ``CacheState``
 set-parallel: sets are independent, so round r applies the r-th access
-of every set at once as numpy operations on the (sets, ways) arrays.
+of every set at once as numpy operations.  The rounds work on ways-major
+(ways, sets) copies of the state, so each per-set reduction (any hit,
+survivor count, way to update) is an elementwise pass over ``ways``
+contiguous rows, and they hold each way's stamp as the code
+``stamp << log2(ways) | way``, so one min over a set's codes finds its
+LRU way.  The state itself keeps (sets, ways) tags and plain stamps.
 Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
@@ -139,6 +144,19 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     to round r, and within a round the sets are rows ordered by access
     count, busiest first, so the sets active in round r are a prefix of
     the rows and every round works on array views.
+
+    The rounds run on ways-major working copies of those rows: tags of
+    shape (ways, rows) and int64 codes ``stamp << log2(ways) | way``,
+    gathered once, decoded to stamps before the scalar tail (which works
+    on their transposed views) and written back after it.
+    Round r uses the column prefix ``[:, :active[r]]``.  Codes order as
+    stamps do, ties broken by way, so a set's least code is the way an
+    access evicts: its empty ways first, in way order, then its least
+    recently used way.  A hit way's code is first overwritten in place by
+    ``way + INT64_MIN``, below every real code, so one min picks the hit
+    way when there is one and the LRU way otherwise; the picked way then
+    takes the new stamp's code.  A run whose stamps would not fit beside
+    the way bits in int64 is refused before the state changes.
     """
     config = state.config
     addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
@@ -149,7 +167,9 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     request = block >> config.index_bits
     del block
     by_set = np.argsort(set_of, kind="stable")
-    set_of, request = set_of[by_set], request[by_set]
+    counts = np.bincount(set_of, minlength=sets)
+    set_of = np.repeat(np.arange(sets, dtype=set_of.dtype), counts)  # set_of[by_set]
+    request = request[by_set]
     if not want_outcomes:
         del by_set
     repeat = set_of[1:] == set_of[:-1]
@@ -166,21 +186,23 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         if want_outcomes:
             by_set = by_set[kept]
         del kept
+        counts = np.bincount(set_of, minlength=sets)
     del fold
 
-    counts = np.bincount(set_of, minlength=sets)
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     row_of = np.empty(sets, dtype=np.intp)
     row_of[rows] = np.arange(rows.size)
     # active[r]: sets with more than r kept accesses, i.e. the rows of round r
     active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
-    start = np.zeros(active.size, dtype=np.intp)
+    rounds = active.size
+    start = np.zeros(rounds, dtype=np.intp)
     np.cumsum(active[:-1], out=start[1:])
 
+    # set_of is sorted, so X[set_of] is np.repeat(X, counts), without the gather
     slot = np.arange(request.size)
-    slot -= (np.cumsum(counts) - counts)[set_of]  # occurrence of the access in its set
+    slot -= np.repeat(np.cumsum(counts) - counts, counts)  # occurrence of the access in its set
     slot = start[slot]
-    slot += row_of[set_of]
+    slot += np.repeat(row_of, counts)
     del set_of, row_of, counts
     request = _to_slots(request, slot)
     if weight is not None:
@@ -190,37 +212,48 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         del by_set
     del slot
 
-    tags = state._tags[rows]
-    ages = state._ages[rows]
+    # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
+    shift = (ways - 1).bit_length()
+    clock = state._clock
+    int64 = np.iinfo(np.int64)
+    if (clock + rounds) << shift > int64.max:
+        raise ValueError(
+            f"LRU stamps up to {clock + rounds} do not fit in int64 beside {shift} way bits"
+        )
+    way_column = np.arange(ways, dtype=np.int64)[:, None]
+    hit_codes = way_column + int64.min  # below every stamp code, in way order
+    tags = np.take(state._tags.T, rows, axis=1)
+    codes = np.take(state._ages.T, rows, axis=1)
+    codes <<= shift
+    codes |= way_column
     hit = np.empty(request.size, dtype=bool)
     survivors = np.empty(request.size, dtype=np.min_scalar_type(ways))
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
-    clock = state._clock
     row_index = np.arange(rows.size)
-    rounds = active.size
     r = 0
     while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
         lo, hi = start[r], start[r] + active[r]
-        t, a, q = tags[: active[r]], ages[: active[r]], request[lo:hi]
-        valid = a >= 0
-        diff = t ^ q[:, None]
+        t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[lo:hi]
+        valid = c >= 0
+        diff = t ^ q
         match = valid & ((diff & prefix_mask) == 0)
         same = valid & (diff == 0)
-        hit_row = same.any(axis=1)
-        hit[lo:hi] = hit_row
-        survivors[lo:hi] = match.sum(axis=1)
-        way = np.where(hit_row, same.argmax(axis=1), a.argmin(axis=1))
+        hit[lo:hi] = same.any(axis=0)
+        survivors[lo:hi] = match.sum(axis=0, dtype=survivors.dtype)
+        np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
+        way = c.min(axis=0) & (ways - 1)  # the hit way, else the LRU way
         here = row_index[: active[r]]
-        t[here, way] = q
-        a[here, way] = clock + r
+        t[way, here] = q
+        c[way, here] = ((clock + r) << shift) | way
         r += 1
+    codes >>= shift
     if r < rounds:
         lo = start[r]
-        _scalar_tail(tags, ages, request[lo:], hit[lo:], survivors[lo:], active[r:].tolist(),
-                     clock + r, prefix_mask)
+        _scalar_tail(tags.T, codes.T, request[lo:], hit[lo:], survivors[lo:],
+                     active[r:].tolist(), clock + r, prefix_mask)
 
-    state._tags[rows] = tags
-    state._ages[rows] = ages
+    state._tags.T[:, rows] = tags
+    state._ages.T[:, rows] = codes
     state._clock = clock + rounds
     # float64 weighted bins are exact integers: no trace has 2**53 accesses
     histogram = np.bincount(survivors, weight, ways + 1).astype(np.int64).tolist()

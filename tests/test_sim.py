@@ -350,6 +350,10 @@ DIFFERENTIAL_CONFIGS = (
     # wider than 64 bits, fed addresses below 2**64: 60 and 68 tag bits
     WIDE,
     CacheConfig(cache_size=8 * 1024, block_size=64, associativity=2, address_bits=80),
+    # 128 sets of 16 ways, 3 tag bits: mostly hits, and the warm fill is partial
+    CacheConfig(cache_size=128 * 1024, block_size=64, associativity=16, address_bits=16),
+    # 8 sets of 64 ways, 7 tag bits: hits, and evictions from a warm cache
+    CacheConfig(cache_size=32 * 1024, block_size=64, associativity=64, address_bits=16),
 )
 
 
@@ -469,6 +473,52 @@ class TestDifferential:
         warm_fill(state)
         reference_warm_fill(reference)
         assert all_contents(state) == all_contents(reference)
+
+
+class TestStampCodes:
+    """The engine's stamp << log2(ways) | way codes stay inside _fold."""
+
+    @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
+    def test_a_stamp_the_code_cannot_hold_is_refused(self, tail):
+        # 4 ways: 2 way bits, so stamps up to 2**61 - 1 fit beside them
+        last = (1 << 61) - 1
+        state, reference = CacheState(TINY, k=3), CacheState(TINY, k=3)
+        state._clock = reference._clock = last - 1
+        with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
+            assert run_trace(state, [addr(TINY, 5, 2)]).misses == 1
+            access(reference, addr(TINY, 5, 2))
+            assert all_contents(state) == all_contents(reference)
+            assert (state._ages == reference._ages).all() and state._clock == last
+            before = state._tags.copy(), state._ages.copy()
+            for engine in (run_trace, trace_outcomes):
+                with pytest.raises(ValueError, match="do not fit in int64"):
+                    engine(state, [addr(TINY, 6, 2)])
+        assert (state._tags == before[0]).all() and (state._ages == before[1]).all()
+        assert state._clock == last
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_engine_and_reference_interleave_on_one_state(self, data):
+        config = data.draw(st.sampled_from(DIFFERENTIAL_CONFIGS), label="config")
+        k = data.draw(st.integers(0, config.tag_bits), label="k")
+        traces = [data.draw(differential_traces(config), label=f"trace {i}") for i in range(3)]
+        alone = CacheState(config, k)
+        expected = [reference_fold(alone, trace) for trace in traces]
+        counted, traced = CacheState(config, k), CacheState(config, k)
+        with mock.patch.object(sim, "_SCALAR_TAIL_SETS",
+                               data.draw(st.sampled_from(TAIL_THRESHOLDS), label="tail")):
+            for i, trace in enumerate(traces):
+                if i == 1:
+                    assert reference_fold(counted, trace) == expected[i]
+                    assert reference_fold(traced, trace) == expected[i]
+                    continue
+                assert run_trace(counted, trace) == expected[i][0]
+                assert trace_outcomes(traced, trace) == expected[i][1]
+                # plain stamps: each below the clock, none a stamp << log2(ways) | way code
+                assert counted._ages.max() < counted._clock
+                assert traced._ages.max() < traced._clock
+        assert all_contents(counted) == all_contents(alone)
+        assert all_contents(traced) == all_contents(alone)
 
 
 class TestTraceValidation:
