@@ -435,14 +435,16 @@ def _print_geometry(config: CacheConfig) -> None:
 
 
 def _configure(args):
-    """(config, optimum, k) of one configuration's flags; k defaults to the optimum."""
+    """(config, k) of one configuration's flags; k defaults to the optimum."""
     config = CacheConfig(args.addr_bits, args.size, args.block, args.assoc)
-    opt = k_min_integer(config.tag_bits, config.associativity)
-    return config, opt, args.k if args.k is not None else opt.k_min
+    if args.k is None:
+        return config, k_min_integer(config.tag_bits, config.associativity).k_min
+    return config, args.k
 
 
 def cmd_analyze(args) -> int:
-    config, opt, k = _configure(args)
+    config, k = _configure(args)
+    opt = k_min_integer(config.tag_bits, config.associativity)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     _print_geometry(config)
     print(f"baseline_bits_per_access: {baseline_bits(config.tag_bits, config.associativity)}")
@@ -500,7 +502,7 @@ def _load_trace(args):
 
 def cmd_simulate(args) -> int:
     params = load_params(args.params) if args.params is not None else None
-    config, _, k = _configure(args)
+    config, k = _configure(args)
     state = CacheState(config, k)
     trace = _load_trace(args)
     if args.warm:

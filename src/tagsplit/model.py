@@ -131,6 +131,8 @@ def _binomial_mean_matches(ways: int, k: int) -> float:
     mean = 0.0
     for i in range(1, ways + 1):
         term *= ratio * (ways - i + 1) / i
+        if term == 0.0:  # so is every later term, and adding zeros leaves mean as it is
+            break
         mean += i * term
     return mean
 

@@ -14,12 +14,11 @@ k bits per way) but they can neither survive to step 2 nor hit.
 
 ``run_trace`` and ``trace_outcomes`` fold a trace into a ``CacheState``
 set-parallel: sets are independent, so round r applies the r-th access
-of every set at once as numpy operations.  The rounds work on ways-major
-(ways, sets) copies of the state, so each per-set reduction (any hit,
-survivor count, way to update) is an elementwise pass over ``ways``
-contiguous rows, and they hold each way's stamp as the code
-``stamp << log2(ways) | way``, so one min over a set's codes finds its
-LRU way.  The state itself keeps (sets, ways) tags and plain stamps.
+of every set at once as numpy operations.  The state is ways-major,
+(ways, sets), so each per-set reduction (any hit, survivor count, way
+to update) is an elementwise pass over ``ways`` contiguous rows, and the
+rounds hold each way's stamp as the code ``stamp << log2(ways) | way``,
+so one min over a set's codes finds its LRU way.
 Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
@@ -110,8 +109,8 @@ class SimStats:
 class CacheState:
     """Tag array contents of one cache plus its splitting point.
 
-    Each way holds a tag and an LRU age stamp; the larger stamp is the
-    more recent.  Empty ways carry negative stamps, so they are the
+    Tags and LRU age stamps are (ways, sets) arrays; the larger stamp is
+    the more recent.  Empty ways carry negative stamps, so they are the
     least recently used and fill in way order before any eviction.
     Tags are uint64 at every address width, as traces are (see as_addresses).
     """
@@ -124,9 +123,8 @@ class CacheState:
         self.config = config
         self.k = int(k)
         ways = config.associativity
-        shape = (config.sets, ways)
-        self._tags = np.zeros(shape, dtype=np.uint64)
-        self._ages = np.broadcast_to(np.arange(-ways, 0, dtype=np.int64), shape).copy()
+        self._ages = np.repeat(np.arange(-ways, 0, dtype=np.int64)[:, None], config.sets, axis=1)
+        self._tags = np.zeros(self._ages.shape, dtype=np.uint64)
         self._clock = 0  # stamp of the next access
 
 
@@ -145,10 +143,11 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     count, busiest first, so the sets active in round r are a prefix of
     the rows and every round works on array views.
 
-    The rounds run on ways-major working copies of those rows: tags of
-    shape (ways, rows) and int64 codes ``stamp << log2(ways) | way``,
-    gathered once, decoded to stamps before the scalar tail (which works
-    on their transposed views) and written back after it.
+    The rounds run on working copies of the state's columns, in row
+    order: tags of shape (ways, rows) and int64 codes
+    ``stamp << log2(ways) | way``, gathered once, decoded to stamps
+    before the scalar tail (which works on their transposed views) and
+    written back after it.
     Round r uses the column prefix ``[:, :active[r]]``.  Codes order as
     stamps do, ties broken by way, so a set's least code is the way an
     access evicts: its empty ways first, in way order, then its least
@@ -222,8 +221,9 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         )
     way_column = np.arange(ways, dtype=np.int64)[:, None]
     hit_codes = way_column + int64.min  # below every stamp code, in way order
-    tags = np.take(state._tags.T, rows, axis=1)
-    codes = np.take(state._ages.T, rows, axis=1)
+    # np.take, not state._tags[:, rows]: that copy is F-ordered, so every round would stride
+    tags = np.take(state._tags, rows, axis=1)
+    codes = np.take(state._ages, rows, axis=1)
     codes <<= shift
     codes |= way_column
     hit = np.empty(request.size, dtype=bool)
@@ -252,8 +252,8 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         _scalar_tail(tags.T, codes.T, request[lo:], hit[lo:], survivors[lo:],
                      active[r:].tolist(), clock + r, prefix_mask)
 
-    state._tags.T[:, rows] = tags
-    state._ages.T[:, rows] = codes
+    state._tags[:, rows] = tags
+    state._ages[:, rows] = codes
     state._clock = clock + rounds
     # float64 weighted bins are exact integers: no trace has 2**53 accesses
     histogram = np.bincount(survivors, weight, ways + 1).astype(np.int64).tolist()
@@ -342,8 +342,7 @@ def warm_fill(state: CacheState) -> None:
     if state._clock:
         raise ValueError("warm_fill needs a cold cache; this one has seen accesses")
     distinct_tags = min(state.config.associativity, 1 << state.config.tag_bits)
-    state._tags[:, :distinct_tags] = np.arange(distinct_tags)
-    state._ages[:, :distinct_tags] = np.arange(distinct_tags)
+    state._tags[:distinct_tags] = state._ages[:distinct_tags] = np.arange(distinct_tags)[:, None]
     state._clock = distinct_tags
 
 

@@ -36,6 +36,9 @@ PARAMS = {
     "p_read_disturb": 1e-12,
 }
 
+# 512 sets of 8 ways: tag_bits = 16 - 9 - 6 = 1, too short for an optimum
+ONE_TAG_BIT = ["--size", "256K", "--assoc", "8", "--addr-bits", "16"]
+
 
 def report_dict(output: str) -> dict:
     """Parse the 'key: value' lines of analyze/simulate reports."""
@@ -157,6 +160,10 @@ class TestAnalyze:
         report = report_dict(capsys.readouterr().out)
         assert report["k"] == "2"
         assert report["k_min"] == "4"  # the optimum is reported regardless
+
+    def test_a_one_bit_tag_has_no_optimum_to_report_even_with_k(self, capsys):
+        assert main(["analyze", *ONE_TAG_BIT, "--k", "1"]) == 2
+        assert "tag_bits must be >= 2, got 1" in capsys.readouterr().err
 
     def test_impossible_geometry_exits_2(self, capsys):
         code = main(["analyze", "--size", "8M", "--assoc", "1", "--addr-bits", "16"])
@@ -607,6 +614,17 @@ class TestSimulate:
         trace.write_text("40\n-1\n")
         assert main(["simulate", *self.CONFIG, "--trace", str(trace)]) == 2
         assert f"{trace}: line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_an_explicit_k_simulates_a_one_bit_tag(self, k, capsys):
+        code = main(["simulate", *ONE_TAG_BIT, "--k", k, "--gen", "uniform", "--length", "100"])
+        assert code == 0
+        report = report_dict(capsys.readouterr().out)
+        assert (report["tag_bits"], report["k"], report["accesses"]) == ("1", k, "100")
+
+    def test_without_k_a_one_bit_tag_has_no_optimum_to_default_to(self, capsys):
+        assert main(["simulate", *ONE_TAG_BIT, "--gen", "uniform", "--length", "100"]) == 2
+        assert "tag_bits must be >= 2, got 1" in capsys.readouterr().err
 
     def test_unknown_trace_extension_exits_2(self, capsys):
         code = main(["simulate", *self.CONFIG, "--trace", "mystery.dat"])

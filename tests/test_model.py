@@ -1,6 +1,8 @@
 """Closed-form cost model: geometry, expectations, derivatives."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tagsplit.model import (
     CacheConfig,
+    _binomial_mean_matches,
     baseline_bits,
     continuous_total_bits,
     expected_matched_ways,
@@ -116,6 +119,43 @@ class TestExpectedMatchedWays:
     @example(ways=4096, k=2)
     def test_matches_closed_form(self, ways, k):
         assert expected_matched_ways(ways, k) == pytest.approx(ways * 2.0 ** -k, rel=1e-12)
+
+
+def binomial_sum_over_every_way(ways: int, k: int) -> float:
+    """The model's ratio-recurrence sum, run over every way with no early stop."""
+    p = 2.0 ** -k
+    if p == 1.0:
+        return float(ways)
+    q = 1.0 - p
+    term = q ** ways
+    if term < sys.float_info.min:
+        return ways * p
+    ratio = p / q
+    mean = 0.0
+    for i in range(1, ways + 1):
+        term *= ratio * (ways - i + 1) / i
+        mean += i * term
+    return mean
+
+
+class TestBinomialSumStop:
+    """The sum stops at its first zero term: every later term is zero too."""
+
+    @pytest.mark.parametrize("ways", [2 ** e for e in range(13)] + [3, 100, 1000])
+    def test_same_float_as_the_sum_over_every_way(self, ways):
+        for k in range(129):
+            assert expected_matched_ways(ways, k) == binomial_sum_over_every_way(ways, k)
+
+    @pytest.mark.parametrize("k", [8, 12, 16, 20, 24, 40])
+    def test_same_float_at_65536_ways(self, k):
+        assert expected_matched_ways(1 << 16, k) == binomial_sum_over_every_way(1 << 16, k)
+
+    def test_huge_associativity_takes_no_step_per_way(self):
+        # about 60 steps (tens of microseconds); one per way took seconds
+        start = time.perf_counter()
+        mean = _binomial_mean_matches.__wrapped__(1 << 26, 40)
+        assert time.perf_counter() - start < 0.05
+        assert mean == pytest.approx(2.0 ** -14, rel=1e-12)
 
 
 class TestExpectedReads:

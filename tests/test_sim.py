@@ -61,8 +61,8 @@ def access(state: CacheState, address: int) -> tuple[bool, int]:
     tag = block >> config.index_bits
     prefix_mask = (1 << state.k) - 1
     prefix = tag & prefix_mask
-    tags = state._tags[set_index].tolist()
-    ages = state._ages[set_index].tolist()
+    tags = state._tags[:, set_index].tolist()
+    ages = state._ages[:, set_index].tolist()
     survivors = 0
     hit_way = -1
     for way in range(config.associativity):
@@ -74,21 +74,21 @@ def access(state: CacheState, address: int) -> tuple[bool, int]:
         way = hit_way
     else:
         way = ages.index(min(ages))
-        state._tags[set_index, way] = tag
-    state._ages[set_index, way] = state._clock
+        state._tags[way, set_index] = tag
+    state._ages[way, set_index] = state._clock
     state._clock += 1
     return hit_way >= 0, survivors
 
 
 def lru_ranks(state: CacheState, set_index: int) -> list[int]:
     """Rank of each way (0 = least recently used); a permutation."""
-    return np.argsort(np.argsort(state._ages[set_index])).tolist()
+    return np.argsort(np.argsort(state._ages[:, set_index])).tolist()
 
 
 def contents(state: CacheState, set_index: int) -> list[tuple[bool, int, int]]:
     """Per-way (valid, tag, lru_rank) view of one set."""
-    ages = state._ages[set_index].tolist()
-    tags = state._tags[set_index].tolist()
+    ages = state._ages[:, set_index].tolist()
+    tags = state._tags[:, set_index].tolist()
     return [
         (age >= 0, tag, rank) for age, tag, rank in zip(ages, tags, lru_ranks(state, set_index))
     ]
