@@ -252,22 +252,6 @@ def _k_ranges(k_range: tuple[int, int], tag_lengths) -> dict[int, range]:
     return {n: range(low, min(high, n) + 1) for n in tag_lengths}
 
 
-def _trace_params(
-    kind: str, address_bits: int, block_size: int, stride: int, base: int = 0, **zipf
-) -> dict:
-    """Keyword arguments of generate_trace for one trace kind.
-
-    zipf holds the zipf-block kind's exponent and num_blocks; when left
-    out, the generator's defaults apply.
-    """
-    params = {"address_bits": address_bits}
-    if kind == "stride":
-        params.update(stride=stride, base=base)
-    elif kind == "zipf-block":
-        params.update(block_size=block_size, **zipf)
-    return params
-
-
 def _point_cells(config: CacheConfig) -> dict:
     return {name: getattr(config, name) for name in _POINT_COLUMNS}
 
@@ -319,9 +303,9 @@ def evaluate_sweep(args, encode, params=None):
     traces = {}
     if args.simulate:
         for addr in sorted(set(args.addr_bits)):
-            params = _trace_params(args.trace_kind, addr, args.block, stride=args.block)
             traces[addr] = generate_trace(
-                args.trace_kind, args.trace_length, args.trace_seed, **params
+                args.trace_kind, args.trace_length, args.trace_seed,
+                address_bits=addr, block_size=args.block, stride=args.block,
             )
     return _sweep_rows(points, pairs, traces, encode)
 
@@ -471,16 +455,10 @@ def cmd_sweep(args) -> int:
 
 def _generate(kind: str, args):
     """The trace the generator flags of simulate and gen-trace describe."""
-    params = _trace_params(
-        kind,
-        args.addr_bits,
-        args.block,
-        args.stride,
-        args.base,
-        exponent=args.zipf_exponent,
-        num_blocks=args.num_blocks,
+    return generate_trace(
+        kind, args.length, args.seed, address_bits=args.addr_bits, block_size=args.block,
+        stride=args.stride, base=args.base, exponent=args.zipf_exponent, num_blocks=args.num_blocks,
     )
-    return generate_trace(kind, args.length, args.seed, **params)
 
 
 def _is_binary_trace(path: str) -> bool:
@@ -619,7 +597,7 @@ def _add_output_flags(parser, required: bool) -> None:
 
 def _add_generator_flags(parser) -> None:
     parser.add_argument("--length", type=int, default=100_000, help="trace length (default 100000)")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="seed (uniform and zipf-block kinds; default 0)")
     parser.add_argument("--stride", type=parse_size, default=64, help="stride in bytes (stride kind)")
     parser.add_argument("--base", type=int, default=0, help="first address (stride kind)")
     parser.add_argument("--zipf-exponent", type=float, default=1.2, help="zipf exponent (zipf-block kind)")
@@ -655,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="kind of trace --simulate generates (default uniform)",
     )
     sweep.add_argument("--trace-length", type=int, default=100_000, help="trace length (default 100000)")
-    sweep.add_argument("--trace-seed", type=int, default=0, help="generator seed (default 0)")
+    sweep.add_argument("--trace-seed", type=int, default=0, help="seed (uniform and zipf-block kinds; default 0)")
     sweep.add_argument("--params", default=None, help="JSON cost parameters; adds energy/mttf ratios")
     _add_output_flags(sweep, required=True)
     sweep.set_defaults(func=cmd_sweep)

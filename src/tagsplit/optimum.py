@@ -3,8 +3,9 @@
 Setting the derivative of k*x + (n-k)*x/2**k to zero gives the
 stationarity condition 2**k - 1 = (n - k)*ln2, whose solution is
 k = log2(W(2**n * e)) with W the Lambert function (inverse of w*e**w).
-The argument 2**n * e overflows doubles long before n reaches 128, so
-the solver works on logarithms throughout: it finds w from
+The argument 2**n * e is a finite double only up to n = 1022, while
+k_optimal_continuous takes any tag length (n = 2000 gives k = 10.43),
+so the solver works on logarithms throughout: it finds w from
 w + ln w = n*ln2 + 1 and never materializes 2**n * e.
 
 The cost is convex in k, so the best integer splitting point is the

@@ -2,8 +2,9 @@
 
 Three generators cover the access patterns used to exercise the
 simulator: independent uniform addresses, a fixed-stride walk, and a
-Zipf distribution over block indices for a skewed working set.  All
-are deterministic for a given seed.
+Zipf distribution over block indices for a skewed working set.  The
+uniform and zipf-block traces are deterministic for a given seed; the
+stride walk takes no seed.
 
 Two interchange formats are supported: a text format with one
 hexadecimal byte address per line (written in lower case without a
@@ -126,14 +127,23 @@ def zipf_block_trace(
     return blocks.astype(np.uint64) * np.uint64(block_size)
 
 
-def generate_trace(kind: str, length: int, seed: int = 0, **params) -> np.ndarray:
-    """Dispatch to one of the named generators (see TRACE_KINDS)."""
+def generate_trace(
+    kind: str, length: int, seed: int = 0, *, address_bits: int = 40, block_size: int = 64,
+    stride: int = 64, base: int = 0, exponent: float = 1.2, num_blocks: int = 1 << 18,
+) -> np.ndarray:
+    """A trace of one of the named generators (see TRACE_KINDS).
+
+    Each kind reads its own keywords and ignores, unchecked, the rest:
+    uniform reads seed and address_bits; stride reads stride, base and
+    address_bits; zipf-block reads seed, exponent, num_blocks,
+    block_size and address_bits.
+    """
     if kind == "uniform":
-        return uniform_trace(length, seed, **params)
+        return uniform_trace(length, seed, address_bits)
     if kind == "stride":
-        return stride_trace(length, **params)
+        return stride_trace(length, stride, base, address_bits)
     if kind == "zipf-block":
-        return zipf_block_trace(length, seed, **params)
+        return zipf_block_trace(length, seed, exponent, num_blocks, block_size, address_bits)
     raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, file outputs, and exit codes."""
 
 import collections
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from tagsplit import cli
 from tagsplit.costs import load_params, mttf_from_bits
 from tagsplit.optimum import k_min_integer
+from tagsplit.traces import generate_trace
 from tagsplit.cli import (
     CURVE_COLUMNS,
     SIM_COLUMNS,
@@ -134,6 +136,18 @@ class TestParsers:
             if not action.help
         ]
         assert missing == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--size", "1M", "--assoc", "8", "--gen", "uniform"],
+         ["gen-trace", "--kind", "uniform", "--out", "t.trace"]],
+    )
+    def test_generator_flag_defaults_are_generate_traces(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        flags = {"address_bits": args.addr_bits, "block_size": args.block, "stride": args.stride,
+                 "base": args.base, "exponent": args.zipf_exponent, "num_blocks": args.num_blocks}
+        keywords = inspect.signature(generate_trace).parameters.values()
+        assert flags == {p.name: p.default for p in keywords if p.kind is p.KEYWORD_ONLY}
 
     def test_write_rows_rejects_unknown_formats(self, tmp_path):
         with pytest.raises(ValueError, match="output format"):

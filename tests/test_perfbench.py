@@ -7,6 +7,7 @@ not only the benchmark.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +30,13 @@ def test_small_workload_passes_its_oracle(name, tmp_path, capsys):
     assert main(workload.args) == 0
     problems, _ = workload.check(capsys.readouterr().out.encode("ascii"))
     assert problems == []
+
+
+def test_selftest_passes():
+    # runs the workloads as the benchmark does: in child processes, plain
+    # and through perfbench/tracer.py, which rebinds module attributes
+    root = Path(__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -69,6 +69,33 @@ class TestGenerators:
         )
         with pytest.raises(ValueError, match="unknown trace kind"):
             generate_trace("sequential", 10, 5)
+        with pytest.raises(TypeError, match="footprint"):
+            generate_trace("uniform", 10, 5, footprint=3)
+        with pytest.raises(TypeError):
+            generate_trace("uniform", 10, 5, 32)  # the generator keywords are keyword-only
+        # another kind's keyword is ignored unchecked: stride=0 and
+        # num_blocks=0 would be refused by their own kinds
+        assert np.array_equal(
+            generate_trace("uniform", 10, 1, stride=0, num_blocks=0), uniform_trace(10, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "kind, generator, own",
+        [
+            ("uniform", uniform_trace, {"seed": 7, "address_bits": 36}),
+            ("stride", stride_trace, {"stride": 192, "base": 4096, "address_bits": 36}),
+            (
+                "zipf-block",
+                zipf_block_trace,
+                {"seed": 7, "exponent": 1.5, "num_blocks": 1000, "block_size": 128,
+                 "address_bits": 36},
+            ),
+        ],
+    )
+    def test_each_kind_reads_only_its_own_keywords(self, kind, generator, own):
+        every = dict(address_bits=36, block_size=128, stride=192, base=4096, exponent=1.5,
+                     num_blocks=1000)
+        assert np.array_equal(generate_trace(kind, 50, 7, **every), generator(50, **own))
 
     @pytest.mark.parametrize("length", [0, -5])
     def test_rejects_empty_traces(self, length):
