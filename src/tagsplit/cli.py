@@ -151,8 +151,6 @@ def format_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -13,8 +13,10 @@ hardware reads all prefix columns in parallel, so step 1 always costs
 k bits per way) but they can neither survive to step 2 nor hit.
 
 ``run_trace`` and ``trace_outcomes`` fold a trace into a ``CacheState``
-set-parallel: sets are independent, so round r applies the r-th access
-of every set at once as numpy operations.  The state is ways-major,
+set-parallel: sets are independent, so once the trace is sorted by set,
+round r applies the r-th access of every set at once as numpy
+operations, reading and writing each set's access where it lies in set
+order, at a cursor the round advances.  The state is ways-major,
 (ways, sets), so each per-set reduction (any hit, survivor count, way
 to update) is an elementwise pass over ``ways`` contiguous rows, and the
 rounds hold each way's stamp as the code ``stamp << log2(ways) | way``,
@@ -23,11 +25,12 @@ Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
 Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
-those are finished one access at a time, so a hot set whose consecutive
-accesses change tag costs about one scalar step per access instead of
-one numpy round each.  The tests check this engine, state for state,
-against a per-access reference; ``baseline_outcomes`` is an independent
-full-tag reference for the hit/miss sequence alone.
+each of those is finished in turn, one access at a time, on its own
+contiguous slice, so a hot set whose consecutive accesses change tag
+costs about one scalar step per access instead of one numpy round each.
+The tests check this engine, state for state, against a per-access
+reference; ``baseline_outcomes`` is an independent full-tag reference
+for the hit/miss sequence alone.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ __all__ = [
 ]
 
 # Below this many active sets a numpy round costs more than finishing the
-# remaining accesses of those sets one by one (8 to 128 perform alike).
+# remaining accesses of those sets one by one.  8 to 128 perform alike on
+# uniform, hot-set and large-cache traces; on 20k-access zipf traces 32 is
+# the fastest and 128 about 35% slower.
 _SCALAR_TAIL_SETS = 32
 
 
@@ -138,10 +143,12 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     folded into the second, which keeps their number in a weight; this
     is trace stripping (Wang & Baer, SIGMETRICS 1990).
 
-    The kept accesses are reordered by round: the r-th of every set goes
-    to round r, and within a round the sets are rows ordered by access
-    count, busiest first, so the sets active in round r are a prefix of
-    the rows and every round works on array views.
+    The kept accesses stay in set order.  The sets are rows ordered by
+    access count, busiest first, so the sets active in round r are a
+    prefix of the rows, and each row keeps a cursor at its next kept
+    access: round r reads and writes the accesses at the active rows'
+    cursors, then advances them.  The scalar tail finishes the remaining
+    rows one after another, each on its own contiguous slice.
 
     The rounds run on working copies of the state's columns, in row
     order: tags of shape (ways, rows) and int64 codes
@@ -163,12 +170,12 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
 
     block = addresses >> config.offset_bits
     set_of = (block & (sets - 1)).astype(np.min_scalar_type(sets - 1))
-    request = block >> config.index_bits
-    del block
     by_set = np.argsort(set_of, kind="stable")
+    request = block[by_set]  # the one move of the trace: into set order
+    del block
+    request >>= config.index_bits
     counts = np.bincount(set_of, minlength=sets)
     set_of = np.repeat(np.arange(sets, dtype=set_of.dtype), counts)  # set_of[by_set]
-    request = request[by_set]
     if not want_outcomes:
         del by_set
     repeat = set_of[1:] == set_of[:-1]
@@ -189,27 +196,11 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     del fold
 
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    row_of = np.empty(sets, dtype=np.intp)
-    row_of[rows] = np.arange(rows.size)
     # active[r]: sets with more than r kept accesses, i.e. the rows of round r
     active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
     rounds = active.size
-    start = np.zeros(rounds, dtype=np.intp)
-    np.cumsum(active[:-1], out=start[1:])
-
-    # set_of is sorted, so X[set_of] is np.repeat(X, counts), without the gather
-    slot = np.arange(request.size)
-    slot -= np.repeat(np.cumsum(counts) - counts, counts)  # occurrence of the access in its set
-    slot = start[slot]
-    slot += np.repeat(row_of, counts)
-    del set_of, row_of, counts
-    request = _to_slots(request, slot)
-    if weight is not None:
-        weight = _to_slots(weight, slot)
-    if want_outcomes:
-        order = _to_slots(by_set, slot)  # order[slot] = position in the trace
-        del by_set
-    del slot
+    at = (np.cumsum(counts) - counts)[rows]  # each row's next access in set order
+    del set_of, counts
 
     # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
     shift = (ways - 1).bit_length()
@@ -232,25 +223,29 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     row_index = np.arange(rows.size)
     r = 0
     while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
-        lo, hi = start[r], start[r] + active[r]
-        t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[lo:hi]
+        now = at[: active[r]]  # a view: the cursors advance in place below
+        t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[now]
         valid = c >= 0
         diff = t ^ q
-        match = valid & ((diff & prefix_mask) == 0)
         same = valid & (diff == 0)
-        hit[lo:hi] = same.any(axis=0)
-        survivors[lo:hi] = match.sum(axis=0, dtype=survivors.dtype)
+        diff &= prefix_mask
+        match = valid & (diff == 0)
+        hit[now] = same.any(axis=0)
+        survivors[now] = match.sum(axis=0, dtype=survivors.dtype)
         np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
         way = c.min(axis=0) & (ways - 1)  # the hit way, else the LRU way
         here = row_index[: active[r]]
         t[way, here] = q
         c[way, here] = ((clock + r) << shift) | way
+        now += 1
         r += 1
     codes >>= shift
     if r < rounds:
-        lo = start[r]
-        _scalar_tail(tags.T, codes.T, request[lo:], hit[lo:], survivors[lo:],
-                     active[r:].tolist(), clock + r, prefix_mask)
+        # active never rises, so row i has as many kept accesses as rounds with active > i
+        tail = active[r]
+        ends = at[:tail] + np.searchsorted(-active, -np.arange(tail)) - r
+        _scalar_tail(tags.T, codes.T, request, hit, survivors,
+                     zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
 
     state._tags[:, rows] = tags
     state._ages[:, rows] = codes
@@ -272,40 +267,27 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     if not want_outcomes:
         return stats, None
     outcomes = np.ones(accesses, dtype=bool)  # folded accesses hit
-    outcomes[order] = hit
+    outcomes[by_set] = hit
     return stats, outcomes.tolist()
 
 
-def _to_slots(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """A copy of values in which values[i] sits at slot[i]."""
-    moved = np.empty_like(values)
-    moved[slot] = values
-    return moved
+def _scalar_tail(tags, ages, request, hit, survivors, spans, first_stamp, prefix_mask) -> None:
+    """Finish the remaining sets one at a time, one access at a time on list rows.
 
-
-def _scalar_tail(tags, ages, request, hit, survivors, active, first_stamp, prefix_mask) -> None:
-    """Finish the last rounds one access at a time on list rows.
-
-    ``active`` counts the rows of each remaining round, and ``request``,
-    ``hit`` and ``survivors`` start at the first of them.  Empty ways
-    hold None in place of a tag and a prefix, so list.count and ``in``
-    compare only valid ways.
+    Row i's remaining accesses are ``request[lo:hi]`` for the i-th
+    ``(lo, hi)`` of ``spans``; the j-th of them takes the stamp
+    ``first_stamp + j``, the one the j-th remaining round would give it.
+    Empty ways hold None in place of a tag and a prefix, so list.count
+    and ``in`` compare only valid ways.
     """
-    rows = active[0]
-    age_rows = ages[:rows].tolist()
-    tag_rows = [
-        [tag if age >= 0 else None for tag, age in zip(row_tags, row_ages)]
-        for row_tags, row_ages in zip(tags[:rows].tolist(), age_rows)
-    ]
-    prefix_rows = [[None if t is None else t & prefix_mask for t in row] for row in tag_rows]
-    hits, counts = [], []
-    pending = iter(request.tolist())
-    for stamp, round_rows in enumerate(active, start=first_stamp):
-        for row in range(round_rows):
-            req = next(pending)
+    for row, (lo, hi) in enumerate(spans):
+        row_ages = ages[row].tolist()
+        row_tags = [tag if age >= 0 else None for tag, age in zip(tags[row].tolist(), row_ages)]
+        row_prefixes = [None if t is None else t & prefix_mask for t in row_tags]
+        hits, counts = [], []
+        for stamp, req in enumerate(request[lo:hi].tolist(), start=first_stamp):
             prefix = req & prefix_mask
-            row_tags, row_ages = tag_rows[row], age_rows[row]
-            counts.append(prefix_rows[row].count(prefix))
+            counts.append(row_prefixes.count(prefix))
             if req in row_tags:
                 hits.append(True)
                 way = row_tags.index(req)
@@ -313,12 +295,12 @@ def _scalar_tail(tags, ages, request, hit, survivors, active, first_stamp, prefi
                 hits.append(False)
                 way = row_ages.index(min(row_ages))
                 row_tags[way] = req
-                prefix_rows[row][way] = prefix
+                row_prefixes[way] = prefix
             row_ages[way] = stamp
-    hit[:] = hits
-    survivors[:] = counts
-    tags[:rows] = [[0 if t is None else t for t in row] for row in tag_rows]
-    ages[:rows] = age_rows
+        hit[lo:hi] = hits
+        survivors[lo:hi] = counts
+        tags[row] = [0 if t is None else t for t in row_tags]
+        ages[row] = row_ages
 
 
 def run_trace(state: CacheState, trace) -> SimStats:
