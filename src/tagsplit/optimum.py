@@ -56,7 +56,7 @@ def lambert_w_log(ln_z: float) -> float:
     """
     if not ln_z >= 1.0:
         raise ValueError(f"ln_z must be >= 1, got {ln_z!r}")
-    w = ln_z - math.log(max(ln_z, 1.0))
+    w = ln_z - math.log(ln_z)
     for _ in range(_MAX_NEWTON_ITERATIONS):
         step = (w + math.log(w) - ln_z) / (1.0 + 1.0 / w)
         w -= step

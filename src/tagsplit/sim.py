@@ -136,12 +136,16 @@ class CacheState:
 def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
     """Run the trace set-parallel; the counters and, if asked, per-access hits.
 
-    The trace is stable-sorted by set.  Within a set, a run of accesses
+    The trace moves once: the caller's addresses are gathered, stable by
+    set, into set order and shifted to block numbers in place there; the
+    caller's array is never written.  Within a set, a run of accesses
     to one tag hits from its second access on, and the second leaves the
     set's tags and LRU order as they were, so every later access of the
     run repeats the second's survivor count.  Those later accesses are
     folded into the second, which keeps their number in a weight; this
-    is trace stripping (Wang & Baer, SIGMETRICS 1990).
+    is trace stripping (Wang & Baer, SIGMETRICS 1990).  A block number
+    names one set and one tag, so runs are found on block numbers alone,
+    and the kept ones are shifted to tags after the fold.
 
     The kept accesses stay in set order.  The sets are rows ordered by
     access count, busiest first, so the sets active in round r are a
@@ -168,39 +172,38 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
     sets, ways, accesses = config.sets, config.associativity, addresses.size
 
-    block = addresses >> config.offset_bits
-    set_of = (block & (sets - 1)).astype(np.min_scalar_type(sets - 1))
-    by_set = np.argsort(set_of, kind="stable")
-    request = block[by_set]  # the one move of the trace: into set order
-    del block
-    request >>= config.index_bits
+    set_of = addresses >> config.offset_bits
+    set_of &= sets - 1
+    set_of = set_of.astype(np.min_scalar_type(sets - 1))  # the 8-byte key is freed before the sort
     counts = np.bincount(set_of, minlength=sets)
-    set_of = np.repeat(np.arange(sets, dtype=set_of.dtype), counts)  # set_of[by_set]
+    by_set = np.argsort(set_of, kind="stable")
+    del set_of
+    request = addresses[by_set]  # the one move of the trace; addresses is the caller's, unwritten
+    request >>= config.offset_bits
     if not want_outcomes:
         del by_set
-    repeat = set_of[1:] == set_of[:-1]
-    repeat &= request[1:] == request[:-1]
-    fold = repeat[1:] & repeat[:-1]  # fold[i]: access i + 2 repeats i + 1, which repeats i
-    del repeat
+    # kept[i]: access i is not the third or later of a run; one block number is one set and tag
+    kept = np.ones(accesses, dtype=bool)
+    kept[2:] = request[2:] != request[1:-1]
+    kept[2:] |= request[1:-1] != request[:-2]
     weight = None  # 1 + the number of accesses folded into each kept one
-    if fold.any():
-        kept = np.ones(accesses, dtype=bool)
-        kept[2:] = ~fold
+    if not kept.all():
         kept = np.flatnonzero(kept)
         weight = np.diff(kept, append=accesses)
-        set_of, request = set_of[kept], request[kept]
+        request = request[kept]
         if want_outcomes:
             by_set = by_set[kept]
-        del kept
-        counts = np.bincount(set_of, minlength=sets)
-    del fold
+        # each set's kept accesses; bincount counts in intp
+        counts = np.bincount((request & (sets - 1)).astype(np.intp), minlength=sets)
+    del kept
+    request >>= config.index_bits
 
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     # active[r]: sets with more than r kept accesses, i.e. the rows of round r
     active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
     rounds = active.size
     at = (np.cumsum(counts) - counts)[rows]  # each row's next access in set order
-    del set_of, counts
+    del counts
 
     # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
     shift = (ways - 1).bit_length()

@@ -8,6 +8,7 @@ checks the set-parallel engine against it state for state.
 import random
 import re
 import time
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -483,6 +484,17 @@ class TestDifferential:
         # one round per kept access: the run's first two
         assert counted._clock <= 2 and traced._clock <= 2
 
+    @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
+    @pytest.mark.parametrize("sets", [(1, 2), (2, 1)], ids=["s-then-s+1", "s+1-then-s"])
+    def test_a_repeat_run_never_crosses_a_set_boundary(self, sets, tail):
+        # one tag three times in each of two neighbouring sets: in set order the
+        # six accesses carry one tag, but the second set's first access misses
+        trace = [addr(TINY, 5, s) for s in sets for _ in range(3)]
+        assert_engine_matches_reference(TINY, 3, "cold", None, trace, tail)
+        with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail):
+            outcomes = trace_outcomes(CacheState(TINY, 3), trace)
+        assert outcomes == baseline_outcomes(TINY, trace) == [False, True, True] * 2
+
     def test_counters_are_python_ints(self):
         stats = run_trace(CacheState(TINY, k=3), uniform_trace(500, seed=3, address_bits=16))
         counters = [getattr(stats, name) for name in (
@@ -523,6 +535,31 @@ class TestScalarTail:
             seconds.append(time.perf_counter() - started)
         assert (stats.hits, stats.misses) == (49_998, 2)
         assert min(seconds) < 0.2
+
+
+class TestTraceMove:
+    """The engine's preprocessing moves the trace once and holds little beside it."""
+
+    def test_peak_memory_per_access(self):
+        # The set-sorted block numbers and the sort order take 8 bytes per
+        # access each, and at this length the state's working copies about 3
+        # more: 19.6 in all.  A third 8-byte array held beside the first two,
+        # such as a copy of the block numbers, reads 26.1.
+        config = CacheConfig(cache_size=1 << 20, block_size=64, associativity=8, address_bits=40)
+        state = CacheState(config, k=4)
+        warm_fill(state)
+        trace = uniform_trace(200_000, seed=0, address_bits=40)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_trace(state, trace)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / trace.size < 23
 
 
 class TestStampCodes:
@@ -640,6 +677,14 @@ class TestTraceContract:
         assert np.array_equal(state._ages, before[1])
         assert state._clock == before[2]
         assert not path.exists()
+
+    @pytest.mark.parametrize("taker", ["run_trace", "trace_outcomes", "invariance_check"])
+    def test_the_callers_trace_is_never_written(self, taker):
+        trace = uniform_trace(300, seed=7, address_bits=16)
+        trace[100:110] = trace[99]  # a repeat run, so the fold drops accesses
+        before = trace.copy()
+        TRACE_TAKERS[taker](CacheState(TINY, k=3), None, trace)
+        assert np.array_equal(trace, before)
 
     def test_a_uint64_array_is_not_copied(self):
         trace = uniform_trace(100, seed=1, address_bits=16)
