@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 internal
 invariant violation.  Output rows are sorted by (cache_size,
-associativity, address_bits, k) and floats are printed with 17
-significant digits, so identical invocations produce byte-identical
-files.
+associativity, address_bits, k).  CSV cells and the analyze/simulate
+reports print floats with 17 significant digits, and JSON lines writes
+their shortest round-trip repr, so identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ class SweepRow:
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
-# runs of consecutive columns a sweep row is built from (evaluate_sweep); the
-# grid point's columns are CacheConfig attributes and open every row the CLI writes
+# the two runs a sweep row is built from (evaluate_sweep): the grid point's
+# columns, CacheConfig attributes that open every row the CLI writes, and
+# the tail, every later column, the simulation columns among them
 _POINT_COLUMNS = SWEEP_COLUMNS[:5]
-_SPLIT_COLUMNS = SWEEP_COLUMNS[5:13]
+_TAIL_COLUMNS = SWEEP_COLUMNS[5:]
 _SIM_COLUMNS = SWEEP_COLUMNS[13:15]
-_COST_COLUMNS = SWEEP_COLUMNS[15:]
 
 CURVE_COLUMNS = (
     "config_id",
@@ -187,26 +188,28 @@ _RUN_FORMATS = {
 }
 
 
-def _write_lines(path, columns, output_format: str, encoded_rows) -> int:
-    """Stream rows to path, after a header line for CSV; returns the row count.
+def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
+    """Stream blocks of rows to path, after a header line for CSV; returns the row count.
 
-    encoded_rows(encode) returns the rows.  Each row is a tuple of runs:
-    dicts of consecutive columns, passed through the format's encode,
-    that together cover the columns in order.  Rows may share a run, so
-    it is encoded once.  encoded_rows is called before path is opened,
-    so an error it raises leaves no file behind.
+    encoded_blocks(encode) returns the blocks.  A block is a pair (head,
+    tails) of runs: dicts of consecutive columns passed through the
+    format's encode.  Each tail ends one row of the block, and every row
+    starts with the head, which is "" when the tails cover all columns.
+    A block holds at least one row and takes one write.  encoded_blocks is called before path is
+    opened, so an error it raises leaves no file behind.
     """
     if output_format not in _RUN_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
     encode, between, prefix, suffix = _RUN_FORMATS[output_format]
-    rows = encoded_rows(encode)
+    blocks = encoded_blocks(encode)
     count = 0
     with open(path, "w", encoding="ascii", newline="") as fh:
         if output_format == "csv":
             fh.write(",".join(columns) + "\n")
-        for runs in rows:
-            fh.write(prefix + between.join(runs) + suffix)
-            count += 1
+        for head, tails in blocks:
+            lead = prefix + head + between if head else prefix
+            fh.write(lead + (suffix + lead).join(tails) + suffix)
+            count += len(tails)
     return count
 
 
@@ -216,7 +219,7 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
         path,
         columns,
         output_format,
-        lambda encode: ((encode({name: row[name] for name in columns}),) for row in rows),
+        lambda encode: (("", (encode({name: row[name] for name in columns}),)) for row in rows),
     )
 
 
@@ -240,12 +243,22 @@ def _grid_points(sizes, assocs, addr_bits, block: int):
 
 
 def _k_ranges(k_range: tuple[int, int], tag_lengths) -> dict[int, range]:
-    """Splitting points LO..min(HI, n) per tag length n; HI beyond the longest is an error."""
+    """Splitting points LO..min(HI, n) per tag length n.
+
+    HI beyond the longest tag is an error, and so is LO beyond any tag,
+    which would leave that tag's configurations without a row.
+    """
     low, high = k_range
     longest = max(tag_lengths)
     if high > longest:
         raise ValueError(
             f"k range {low}:{high} exceeds the longest tag in the grid ({longest} bits)"
+        )
+    shorter = sorted(n for n in tag_lengths if n < low)
+    if shorter:
+        raise ValueError(
+            f"k range {low}:{high} starts above tags in the grid "
+            f"({', '.join(map(str, shorter))} bits)"
         )
     return {n: range(low, min(high, n) + 1) for n in tag_lengths}
 
@@ -254,42 +267,43 @@ def _point_cells(config: CacheConfig) -> dict:
     return {name: getattr(config, name) for name in _POINT_COLUMNS}
 
 
-def _split_runs(tag_bits: int, ways: int, ks: range, encode, params) -> list[tuple]:
-    """(SplitEval, split run, cost run) of one (tag_bits, ways) pair per k."""
+def _split_runs(tag_bits: int, ways: int, ks: range, params) -> list[dict]:
+    """The tail cells of one (tag_bits, ways) pair per k: the splitting point,
+    empty simulation cells, and the cost ratios when params are given."""
     # every k is evaluated first, so a k beyond the tag is named before a
     # tag too short to have an optimum
     evs = [expected_reads(tag_bits, ways, k) for k in ks]
     opt = k_min_integer(tag_bits, ways)
     optimum = (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)
     base = baseline_bits(tag_bits, ways)
-    runs = []
+    tails = []
     for ev in evs:
-        split = (ev.k, ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits,
-                 ev.reduction_ratio, *optimum)
         costs = (None, None)
         if params is not None:
             costs = ratios_from_bits(ev.total_bits, base, 1, params)
-        runs.append(
-            (ev, encode(dict(zip(_SPLIT_COLUMNS, split))), encode(dict(zip(_COST_COLUMNS, costs))))
-        )
-    return runs
+        cells = (ev.k, ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits,
+                 ev.reduction_ratio, *optimum, None, None, *costs)
+        tails.append(dict(zip(_TAIL_COLUMNS, cells)))
+    return tails
 
 
 def evaluate_sweep(args, encode, params=None):
-    """Sweep rows sorted by (cache_size, associativity, address_bits, k).
+    """Sweep rows sorted by (cache_size, associativity, address_bits, k), in blocks.
 
-    Each row is a tuple of four runs of consecutive SWEEP_COLUMNS (the
-    grid point, the splitting point, the simulation and the cost
-    ratios), each a dict of column values passed through encode.  The
-    splitting-point and cost runs depend only on (tag_bits,
-    associativity, k), so each is built and encoded once and shared by
-    every grid point with that pair.  The cost ratios are filled in
-    when cost parameters are given.
+    Each grid point's rows make one block for _write_lines: the point's
+    run (its five SWEEP_COLUMNS passed through encode) and one tail run
+    per k, which holds the other columns (the splitting point, the
+    simulation and the cost ratios).  Without args.simulate a tail
+    depends only on (tag_bits, associativity, k), so it is built and
+    encoded once, and only its text is kept, shared by every grid point
+    with that pair.  The cost ratios are filled in when cost parameters
+    are given.
 
     args holds the parsed sweep flags.  The grid is validated, every
     pair evaluated and every trace generated before this returns.  The
-    returned iterator then produces the rows one at a time; with
-    args.simulate, each row is simulated as it is produced.
+    returned iterator then produces the blocks one at a time; with
+    args.simulate, each row is simulated and its tail encoded in row
+    order as its block is produced.
     """
     points = _grid_points(args.sizes, args.assocs, args.addr_bits, args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
@@ -297,7 +311,8 @@ def evaluate_sweep(args, encode, params=None):
     for config in points:
         pair = (config.tag_bits, config.associativity)
         if pair not in pairs:
-            pairs[pair] = _split_runs(*pair, ks[config.tag_bits], encode, params)
+            tails = _split_runs(*pair, ks[config.tag_bits], params)
+            pairs[pair] = tails if args.simulate else list(map(encode, tails))
     traces = {}
     if args.simulate:
         for addr in sorted(set(args.addr_bits)):
@@ -305,29 +320,32 @@ def evaluate_sweep(args, encode, params=None):
                 args.trace_kind, args.trace_length, args.trace_seed,
                 address_bits=addr, block_size=args.block, stride=args.block,
             )
-    return _sweep_rows(points, pairs, traces, encode)
+    return _sweep_blocks(points, pairs, traces, encode)
 
 
-def _sim_cells(observed: float | None, ev) -> dict:
+def _sim_cells(observed: float | None, total_bits: float) -> dict:
     """The simulation columns of a row whose simulated bits per access is observed."""
     if observed is None:
         return dict.fromkeys(_SIM_COLUMNS)
-    return dict(zip(_SIM_COLUMNS, (observed, (observed - ev.total_bits) / ev.total_bits)))
+    return dict(zip(_SIM_COLUMNS, (observed, (observed - total_bits) / total_bits)))
 
 
-def _sweep_rows(points, pairs, traces, encode):
-    no_sim = encode(_sim_cells(None, None))
+def _simulated_tail(config: CacheConfig, tail: dict, trace) -> dict:
+    """tail with the simulation cells of its k on a fresh warm cache."""
+    # a fresh warm cache per row: rows of one grid point differ in k
+    state = CacheState(config, tail["k"])
+    warm_fill(state)
+    observed = run_trace(state, trace).bits_per_access
+    return {**tail, **_sim_cells(observed, tail["total_bits"])}
+
+
+def _sweep_blocks(points, pairs, traces, encode):
     for config in points:
-        point = encode(_point_cells(config))
-        for ev, split, costs in pairs[(config.tag_bits, config.associativity)]:
-            sim = no_sim
-            if traces:
-                # a fresh warm cache per row: rows of one grid point differ in k
-                state = CacheState(config, ev.k)
-                warm_fill(state)
-                observed = run_trace(state, traces[config.address_bits]).bits_per_access
-                sim = encode(_sim_cells(observed, ev))
-            yield point, split, sim, costs
+        tails = pairs[(config.tag_bits, config.associativity)]
+        if traces:
+            trace = traces[config.address_bits]
+            tails = [encode(_simulated_tail(config, tail, trace)) for tail in tails]
+        yield encode(_point_cells(config)), tails
 
 
 def _parse_bool(text: str) -> bool:
@@ -392,15 +410,16 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 config = CacheConfig(
                     row.address_bits, row.cache_size, row.block_size, row.associativity
                 )
-                [(ev, split, _)] = _split_runs(
-                    config.tag_bits, row.associativity, range(row.k, row.k + 1), dict, None
+                [tail] = _split_runs(
+                    config.tag_bits, row.associativity, range(row.k, row.k + 1), None
                 )
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            derived = {**_point_cells(config), **split, **_sim_cells(row.sim_bits_per_access, ev)}
+            total = tail["total_bits"]
+            derived = {**_point_cells(config), **tail, **_sim_cells(row.sim_bits_per_access, total)}
+            del derived["energy_ratio"]
             if row.mttf_ratio is not None:
-                base = baseline_bits(config.tag_bits, row.associativity)
-                derived["mttf_ratio"] = base / ev.total_bits
+                derived["mttf_ratio"] = baseline_bits(config.tag_bits, row.associativity) / total
             for name, want in derived.items():
                 if not _agrees(getattr(row, name), want):
                     raise ValueError(f"{where} fails self-check: {name}")
@@ -492,7 +511,7 @@ def cmd_simulate(args) -> int:
     stats.validate(config.tag_bits, k)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     base = baseline_bits(config.tag_bits, config.associativity)
-    observed, relative_error = _sim_cells(stats.bits_per_access, ev).values()
+    observed, relative_error = _sim_cells(stats.bits_per_access, ev.total_bits).values()
     cells = (
         k,
         stats.accesses,

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, file outputs, and exit codes."""
 
 import collections
+import dataclasses
 import inspect
 import json
 import math
@@ -148,6 +149,32 @@ class TestParsers:
                  "base": args.base, "exponent": args.zipf_exponent, "num_blocks": args.num_blocks}
         keywords = inspect.signature(generate_trace).parameters.values()
         assert flags == {p.name: p.default for p in keywords if p.kind is p.KEYWORD_ONLY}
+
+    # (columns, rows, CSV text, JSON lines text)
+    FRAMING_CASES = {
+        "one-column": (("a",), [{"a": 1}], "a\n1\n", '{"a": 1}\n'),
+        "several-rows": (
+            ("a", "b"),
+            [{"a": 1, "b": 0.5}, {"a": 2, "b": None, "c": 3}, {"a": True, "b": "x"}],
+            "a,b\n1,0.5\n2,\ntrue,x\n",
+            '{"a": 1, "b": 0.5}\n{"a": 2, "b": null}\n{"a": true, "b": "x"}\n',
+        ),
+        "non-finite": (
+            ("a", "b"),
+            [{"a": math.inf, "b": 1}, {"a": 0.1, "b": math.nan}],
+            "a,b\ninf,1\n0.10000000000000001,nan\n",
+            '{"a": "inf", "b": 1}\n{"a": 0.1, "b": "nan"}\n',
+        ),
+        "no-rows": (("a", "b"), [], "a,b\n", ""),
+    }
+
+    @pytest.mark.parametrize("case", FRAMING_CASES)
+    @pytest.mark.parametrize("output_format", ["csv", "json-lines"])
+    def test_write_rows_framing(self, tmp_path, case, output_format):
+        columns, rows, csv_text, json_text = self.FRAMING_CASES[case]
+        out = tmp_path / "rows"
+        assert write_rows(out, columns, rows, output_format) == len(rows)
+        assert out.read_text() == (csv_text if output_format == "csv" else json_text)
 
     def test_write_rows_rejects_unknown_formats(self, tmp_path):
         with pytest.raises(ValueError, match="output format"):
@@ -345,6 +372,41 @@ class TestSweep:
         assert code == 2
         assert "exceeds the longest tag" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_k_range_starting_above_a_tag_exits_2(self, tmp_path, capsys):
+        # 1M of 8 ways leaves a 7-bit tag at 24 address bits and 23 bits at 40
+        out = tmp_path / "x.csv"
+        args = ["sweep", "--sizes", "1M", "--assocs", "8", "--addr-bits", "24,40",
+                "--k-range", "10:12", "--out", str(out)]
+        assert main(args) == 2
+        assert "k range 10:12 starts above tags in the grid (7 bits)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("simulate", [(), ("--simulate", "--trace-length", "500")],
+                             ids=["analytic", "simulate"])
+    def test_csv_and_json_lines_hold_the_same_rows(self, tmp_path, simulate):
+        # 256K at 32 address bits and 1M at 34 share the 16-bit tag at 4 ways;
+        # 1M at 32 has 14 tag bits, so HI 15 clips it
+        args = ["sweep", "--sizes", "256K,1M", "--assocs", "4", "--addr-bits", "32,34",
+                "--k-range", "12:15", "--params", params_file(tmp_path), *simulate]
+        csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        assert main(args + ["--format", "json-lines", "--out", str(json_out)]) == 0
+        csv_rows = [dataclasses.asdict(row) for row in read_sweep_csv(csv_out)]
+        json_rows = [
+            json.loads(line, parse_constant=reject_constant)
+            for line in json_out.read_text().splitlines()
+        ]
+        assert [(row["tag_bits"], row["k"]) for row in csv_rows] == [
+            *((16, k) for k in range(12, 16)), *((18, k) for k in range(12, 16)),
+            *((14, k) for k in range(12, 15)), *((16, k) for k in range(12, 16)),
+        ]
+        assert len(json_rows) == len(csv_rows)
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert list(json_row) == list(SWEEP_COLUMNS)
+            # cell for cell, floats exactly: == between numbers is exact
+            assert json_row == csv_row
+            assert (json_row["sim_bits_per_access"] is None) == (not simulate)
 
     def test_each_split_is_evaluated_once_per_tag_length_and_ways(self, tmp_path, monkeypatch):
         # 256K at 42 address bits and 1M at 44 share every (tag_bits, ways) pair
@@ -674,6 +736,17 @@ class TestCurves:
         )
         assert code == 2
         assert "exceeds the longest tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_range_starting_above_a_tag_exits_2(self, tmp_path, capsys):
+        # at 28 address bits, 1M leaves 10 tag bits at 4 ways and 11 at 8
+        out = tmp_path / "curves.csv"
+        code = main(
+            ["curves", "--size", "1M", "--assocs", "4,8", "--addr-bits", "28",
+             "--k-range", "11:11", "--out", str(out)]
+        )
+        assert code == 2
+        assert "k range 11:11 starts above tags in the grid (10 bits)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_associativities_are_all_reported(self, tmp_path, capsys):
