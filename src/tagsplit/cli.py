@@ -365,23 +365,15 @@ _SWEEP_CELLS = tuple(
 )
 
 
-def _agrees(got, want) -> bool:
-    """A parsed cell against its derivation: floats within a relative 1e-9,
-    anything else exactly.  A cell copied from the row, NaN too, agrees."""
-    if got is want:
-        return True
-    if isinstance(want, float) and got is not None:
-        return math.isclose(got, want, rel_tol=1e-9)
-    return got == want
-
-
 def read_sweep_csv(path) -> list[SweepRow]:
     """Load a sweep CSV, re-deriving every row through the sweep's own evaluation.
 
-    Every derived column is compared with the row's cell, except
-    energy_ratio, which needs the cost parameters, and mttf_ratio when
-    it is empty.  Malformed input raises ValueError naming the path,
-    line and column.
+    Every derived column is compared with the row's cell exactly: a
+    float cell carries 17 significant digits, so it reads back as the
+    double that was written.  energy_ratio needs the cost parameters and
+    is not checked, but mttf_ratio must be filled exactly when
+    energy_ratio is, as the sweep writes the two together.  Malformed
+    input raises ValueError naming the path, line and column.
     """
     rows = []
     # a non-ASCII byte is kept in its cell as a lone surrogate, which no cell parser accepts
@@ -418,10 +410,12 @@ def read_sweep_csv(path) -> list[SweepRow]:
             total = tail["total_bits"]
             derived = {**_point_cells(config), **tail, **_sim_cells(row.sim_bits_per_access, total)}
             del derived["energy_ratio"]
-            if row.mttf_ratio is not None:
+            if row.energy_ratio is not None:
                 derived["mttf_ratio"] = baseline_bits(config.tag_bits, row.associativity) / total
             for name, want in derived.items():
-                if not _agrees(getattr(row, name), want):
+                got = getattr(row, name)
+                # a cell copied from the row, NaN too, agrees
+                if got is not want and got != want:
                     raise ValueError(f"{where} fails self-check: {name}")
             rows.append(row)
     if not rows:

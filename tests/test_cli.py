@@ -72,6 +72,10 @@ def cell_times(factor):
     return lambda text: format_value(float(text) * factor)
 
 
+def cell_ulp(text):
+    return format_value(math.nextafter(float(text), math.inf))
+
+
 ZERO_ENERGY = dict(energy_per_bit_read=0.0, fixed_energy_per_access=0.0, leakage_power=0.0)
 
 
@@ -282,14 +286,36 @@ class TestSweep:
             "sim_relative_error", "sim_bits_per_access", lambda text: ""
         ),
         "mttf_ratio": ("mttf_ratio", "mttf_ratio", cell_times(1 + 1e-6)),
+        # the sweep writes the two cost cells together or not at all
+        "mttf_ratio-without-energy_ratio": ("mttf_ratio", "energy_ratio", lambda text: ""),
+        "mttf_ratio-empty": ("mttf_ratio", "mttf_ratio", lambda text: ""),
+        # every float cell reads back as the double written, so one ulp is a change
+        "expected_second_step_bits-ulp": (
+            "expected_second_step_bits", "expected_second_step_bits", cell_ulp
+        ),
+        "total_bits-ulp": ("total_bits", "total_bits", cell_ulp),
+        "reduction_ratio-ulp": ("reduction_ratio", "reduction_ratio", cell_ulp),
+        "k_optimal-ulp": ("k_optimal", "k_optimal", cell_ulp),
+        "sim_relative_error-ulp": ("sim_relative_error", "sim_relative_error", cell_ulp),
+        "sim_relative_error-ulp-of-sim_bits_per_access": (
+            "sim_relative_error", "sim_bits_per_access", cell_ulp
+        ),
+        "mttf_ratio-ulp": ("mttf_ratio", "mttf_ratio", cell_ulp),
     }
 
-    @pytest.mark.parametrize("case", DERIVED_EDITS)
-    def test_read_back_rejects_edited_derived_columns(self, tmp_path, case):
+    @pytest.mark.parametrize(
+        "case, simulate",
+        [pytest.param(case, ["--simulate", "--trace-length", "300"], id=case)
+         for case in DERIVED_EDITS]
+        + [pytest.param(case, [], id=f"analytic-{case}")
+           for case in ("expected_second_step_bits-ulp", "total_bits-ulp",
+                        "reduction_ratio-ulp", "k_optimal-ulp", "mttf_ratio-ulp")],
+    )
+    def test_read_back_rejects_edited_derived_columns(self, tmp_path, case, simulate):
         column, edited, edit = self.DERIVED_EDITS[case]
         out = tmp_path / "sim.csv"
         args = ["sweep", "--sizes", "64K", "--assocs", "4", "--addr-bits", "32",
-                "--k-range", "2:4", "--simulate", "--trace-length", "300",
+                "--k-range", "2:4", *simulate,
                 "--params", params_file(tmp_path), "--out", str(out)]
         assert main(args) == 0
         assert len(read_sweep_csv(out)) == 3

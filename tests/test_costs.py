@@ -54,7 +54,7 @@ class TestEnergy:
         expected = 100 * 2e-12 + 10 * 1e-12 + 1e-3 * 2.0
         assert tag_energy(100, 10, params) == pytest.approx(expected, rel=1e-15)
 
-    def test_energy_from_stats_uses_total_reads(self):
+    def test_tag_energy_of_a_runs_total_reads(self):
         stats = SimStats(
             ways=2, accesses=10, hits=0, misses=10, step1_bit_reads=80, step2_bit_reads=45,
             baseline_bit_reads=260, matched_way_histogram=[5, 5, 0],
