@@ -9,10 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 internal
 invariant violation.  Output rows are sorted by (cache_size,
-associativity, address_bits, k).  CSV cells and the analyze/simulate
-reports print floats with 17 significant digits, and JSON lines writes
-their shortest round-trip repr, so identical invocations produce
-byte-identical files.
+associativity, address_bits, k).  CSV cells, and every "name: value"
+line of the analyze/simulate reports, print floats with 17 significant
+digits, and JSON lines writes their shortest round-trip repr, so
+identical invocations produce byte-identical files.  A simulate report
+line named like an --out column prints that column's CSV cell.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ SIM_COLUMNS = (
     "mttf_seconds",
     "mttf_ratio",
 )
-
-# the counters and the comparison with the model, which simulate also prints
-_SIM_REPORT_COLUMNS = SIM_COLUMNS[6:17]
 
 
 def parse_size(text: str) -> int:
@@ -423,10 +421,18 @@ def read_sweep_csv(path) -> list[SweepRow]:
     return rows
 
 
-def _print_geometry(config: CacheConfig) -> None:
-    for name in ("cache_size", "block_size", "associativity", "address_bits",
-                 "sets", "index_bits", "offset_bits", "tag_bits"):
-        print(f"{name}: {getattr(config, name)}")
+def _print_report(cells: dict) -> None:
+    """Print one "name: value" report line per cell, each value as its CSV cell."""
+    for name, value in cells.items():
+        print(f"{name}: {format_value(value)}")
+
+
+def _geometry_cells(config: CacheConfig) -> dict:
+    return {
+        name: getattr(config, name)
+        for name in ("cache_size", "block_size", "associativity", "address_bits",
+                     "sets", "index_bits", "offset_bits", "tag_bits")
+    }
 
 
 def _configure(args):
@@ -441,17 +447,19 @@ def cmd_analyze(args) -> int:
     config, k = _configure(args)
     opt = k_min_integer(config.tag_bits, config.associativity)
     ev = expected_reads(config.tag_bits, config.associativity, k)
-    _print_geometry(config)
-    print(f"baseline_bits_per_access: {baseline_bits(config.tag_bits, config.associativity)}")
-    print(f"k_optimal: {format_value(opt.k_optimal)}")
-    print(f"k_min: {opt.k_min}")
-    print(f"is_round_of_continuous: {format_value(opt.is_round_of_continuous)}")
-    print(f"k: {ev.k}")
-    print(f"first_step_bits: {format_value(ev.first_step_bits)}")
-    print(f"expected_second_step_bits: {format_value(ev.expected_second_step_bits)}")
-    print(f"expected_total_bits: {format_value(ev.total_bits)}")
-    print(f"reduction_ratio: {format_value(ev.reduction_ratio)}")
-    print(f"read_reduction_percent: {format_value((1.0 - ev.reduction_ratio) * 100.0)}")
+    _print_report({
+        **_geometry_cells(config),
+        "baseline_bits_per_access": baseline_bits(config.tag_bits, config.associativity),
+        "k_optimal": opt.k_optimal,
+        "k_min": opt.k_min,
+        "is_round_of_continuous": opt.is_round_of_continuous,
+        "k": ev.k,
+        "first_step_bits": ev.first_step_bits,
+        "expected_second_step_bits": ev.expected_second_step_bits,
+        "expected_total_bits": ev.total_bits,
+        "reduction_ratio": ev.reduction_ratio,
+        "read_reduction_percent": (1.0 - ev.reduction_ratio) * 100.0,
+    })
     return 0
 
 
@@ -506,53 +514,50 @@ def cmd_simulate(args) -> int:
     ev = expected_reads(config.tag_bits, config.associativity, k)
     base = baseline_bits(config.tag_bits, config.associativity)
     observed, relative_error = _sim_cells(stats.bits_per_access, ev.total_bits).values()
-    cells = (
-        k,
-        stats.accesses,
-        stats.hits,
-        stats.misses,
-        stats.step1_bit_reads,
-        stats.step2_bit_reads,
-        stats.total_bit_reads,
-        observed,
-        ev.total_bits,
-        relative_error,
-        base,
-        observed / base,
-    )
-    row = dict.fromkeys(SIM_COLUMNS)
-    row.update(_point_cells(config))
-    row.update(zip(SIM_COLUMNS[len(_POINT_COLUMNS) :], cells))
-    _print_geometry(config)
-    print(f"k: {k}")
-    print(f"warmed: {format_value(bool(args.warm))}")
-    for name in _SIM_REPORT_COLUMNS:
-        print(f"{name}: {format_value(row[name])}")
+    run = {
+        **_geometry_cells(config),
+        "k": k,
+        "warmed": bool(args.warm),
+        "accesses": stats.accesses,
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "step1_bit_reads": stats.step1_bit_reads,
+        "step2_bit_reads": stats.step2_bit_reads,
+        "total_bit_reads": stats.total_bit_reads,
+        "bits_per_access": observed,
+        "analytic_bits_per_access": ev.total_bits,
+        "relative_error": relative_error,
+        "baseline_bits_per_access": base,
+        "normalized_reads": observed / base,
+    }
+    _print_report(run)
     histogram = " ".join(
         f"{s}:{count}" for s, count in enumerate(stats.matched_way_histogram) if count
     )
     print(f"survivor_histogram: {histogram}")
     print("note: baseline is the same trace under a single-step comparison (k = n)")
+    costs = {}
     if params is not None:
         energy_ratio, mttf_ratio = ratios_from_bits(
             stats.total_bit_reads, stats.baseline_bit_reads, stats.accesses, params
         )
-        row.update(
-            energy_joules=tag_energy(stats.total_bit_reads, stats.accesses, params),
-            energy_ratio=energy_ratio,
-            mttf_seconds=mttf_from_bits(stats.total_bit_reads, params),
-            mttf_ratio=mttf_ratio,
-        )
-        print(f"energy_joules: {format_value(row['energy_joules'])}")
-        print(f"energy_ratio: {format_value(energy_ratio)}")
-        print(f"reliability: {format_value(reliability(stats.total_bit_reads, params))}")
-        print(f"mttf_seconds: {format_value(row['mttf_seconds'])}")
-        print(f"mttf_ratio: {format_value(mttf_ratio)}")
+        costs = {
+            "energy_joules": tag_energy(stats.total_bit_reads, stats.accesses, params),
+            "energy_ratio": energy_ratio,
+            "reliability": reliability(stats.total_bit_reads, params),
+            "mttf_seconds": mttf_from_bits(stats.total_bit_reads, params),
+            "mttf_ratio": mttf_ratio,
+        }
+        _print_report(costs)
         print(
             "note: reliability counts read disturbance only (independent per bit); "
             "retention and write failures are out of scope"
         )
     if args.out is not None:
+        # the report's cells: write_rows takes only the columns, so the extra
+        # geometry cells, warmed and reliability stay out, and without --params
+        # the cost columns are empty
+        row = {**dict.fromkeys(SIM_COLUMNS), **run, **costs}
         write_rows(args.out, SIM_COLUMNS, [row], args.format)
     return 0
 
@@ -594,6 +599,7 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--assoc", type=int, required=True, help="ways per set")
     parser.add_argument("--block", type=parse_size, default=64, help="block size in bytes (default 64)")
     parser.add_argument("--addr-bits", type=int, default=40, help="address length in bits (default 40)")
+    parser.add_argument("--k", type=int, default=None, help="splitting point (default: the optimum)")
 
 
 def _add_output_flags(parser, required: bool) -> None:
@@ -624,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="one configuration: geometry, optimum, expected cost")
     _add_config_flags(analyze)
-    analyze.add_argument("--k", type=int, default=None, help="splitting point (default: the optimum)")
     analyze.set_defaults(func=cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="evaluate a configuration grid to CSV/JSON lines")
@@ -651,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one trace through the simulator")
     _add_config_flags(simulate)
-    simulate.add_argument("--k", type=int, default=None, help="splitting point (default: the optimum)")
     source = simulate.add_mutually_exclusive_group(required=True)
     source.add_argument("--trace", default=None, help="trace file (.trace/.txt text, .bin binary)")
     source.add_argument("--gen", choices=TRACE_KINDS, default=None, help="generate the trace instead")

@@ -118,11 +118,9 @@ def _binomial_mean_matches(ways: int, k: int) -> float:
     # C(512, 256) overflows any fixed-width integer path, while the
     # recurrence keeps every intermediate within double range.  Its
     # first term q**x is subnormal or zero from 1,024 ways at k = 1,
-    # where the recurrence would lose the whole sum, so the binomial
-    # mean x*p is returned there instead.
+    # and zero at k = 0, where the recurrence would lose the whole sum,
+    # so the binomial mean x*p is returned there instead.
     p = 2.0 ** -k
-    if p == 1.0:
-        return float(ways)
     q = 1.0 - p
     term = q ** ways
     if term < sys.float_info.min:

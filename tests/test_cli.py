@@ -623,6 +623,11 @@ class TestSimulate:
         cells = dict(zip(SIM_COLUMNS, lines[1].split(",")))
         assert cells["accesses"] == "1000"
         assert cells["energy_joules"] == ""  # no params given
+        # each report line named like a column prints that cell's text; without
+        # params the four cost columns have no line and an empty cell
+        report = report_dict(capsys.readouterr().out)
+        assert set(SIM_COLUMNS) - set(report) == set(SIM_COLUMNS[-4:])
+        assert {name: report.get(name, "") for name in SIM_COLUMNS} == cells
 
     def test_cost_report_with_params(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -652,6 +657,8 @@ class TestSimulate:
         assert float(cells["energy_ratio"]) * float(cells["mttf_ratio"]) == pytest.approx(
             1.0, abs=1e-9
         )
+        # every column is also a report line, printed as the same text
+        assert {name: report[name] for name in SIM_COLUMNS} == cells
 
     def test_a_run_that_reads_no_tag_bits_has_an_infinite_mttf_ratio(self, tmp_path, capsys):
         # k = 0 on a cold cache: the one access finds no valid way, so nothing is read
