@@ -21,6 +21,10 @@ order, at a cursor the round advances.  The state is ways-major,
 to update) is an elementwise pass over ``ways`` contiguous rows, and the
 rounds hold each way's stamp as the code ``stamp << log2(ways) | way``,
 so one min over a set's codes finds its LRU way.
+Each round adds its hits and its survivor counts to two running
+counters; only ``trace_outcomes`` keeps a per-access hit array.  A run
+that starts with no empty way skips the rounds' empty-way mask, which
+is exact, as no access empties a way.
 Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
@@ -167,6 +171,14 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     way when there is one and the LRU way otherwise; the picked way then
     takes the new stamp's code.  A run whose stamps would not fit beside
     the way bits in int64 is refused before the state changes.
+
+    Each round adds its hit count and the weighted bincount of its
+    survivor counts to two counters; ``hit`` is allocated and written
+    only when outcomes are asked for.  Empty ways carry negative codes
+    and are masked out of both comparisons.  When no gathered code is
+    negative the rounds skip that mask, exactly: no access empties a
+    way, and the one negative code a round writes, the hit way's, takes
+    the new stamp's code in the same round.
     """
     config = state.config
     addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
@@ -220,21 +232,30 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     codes = np.take(state._ages, rows, axis=1)
     codes <<= shift
     codes |= way_column
-    hit = np.empty(request.size, dtype=bool)
-    survivors = np.empty(request.size, dtype=np.min_scalar_type(ways))
+    all_valid = codes.min(initial=0) >= 0  # no empty way, so no mask (see above)
+    hit = np.empty(request.size, dtype=bool) if want_outcomes else None
+    hits = 0  # of the kept accesses
+    # float64 weighted bins are exact integers: no trace has 2**53 accesses
+    histogram = np.zeros(ways + 1)
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
     row_index = np.arange(rows.size)
     r = 0
     while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
         now = at[: active[r]]  # a view: the cursors advance in place below
         t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[now]
-        valid = c >= 0
         diff = t ^ q
-        same = valid & (diff == 0)
+        same = diff == 0
         diff &= prefix_mask
-        match = valid & (diff == 0)
-        hit[now] = same.any(axis=0)
-        survivors[now] = match.sum(axis=0, dtype=survivors.dtype)
+        match = diff == 0
+        if not all_valid:
+            valid = c >= 0
+            same &= valid
+            match &= valid
+        hits += int(np.count_nonzero(same))  # a set holds each tag at most once
+        survivors = match.sum(axis=0)
+        histogram += np.bincount(survivors, None if weight is None else weight[now], ways + 1)
+        if want_outcomes:
+            hit[now] = same.any(axis=0)
         np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
         way = c.min(axis=0) & (ways - 1)  # the hit way, else the LRU way
         here = row_index[: active[r]]
@@ -247,15 +268,14 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         # active never rises, so row i has as many kept accesses as rounds with active > i
         tail = active[r]
         ends = at[:tail] + np.searchsorted(-active, -np.arange(tail)) - r
-        _scalar_tail(tags.T, codes.T, request, hit, survivors,
-                     zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
+        hits += _scalar_tail(tags.T, codes.T, request, weight, hit, histogram,
+                             zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
 
     state._tags[:, rows] = tags
     state._ages[:, rows] = codes
     state._clock = clock + rounds
-    # float64 weighted bins are exact integers: no trace has 2**53 accesses
-    histogram = np.bincount(survivors, weight, ways + 1).astype(np.int64).tolist()
-    hits = int(np.count_nonzero(hit)) + accesses - request.size  # every folded access hits
+    histogram = histogram.astype(np.int64).tolist()
+    hits += accesses - request.size  # every folded access hits
     tag_bits = config.tag_bits
     stats = SimStats(
         ways=ways,
@@ -274,15 +294,20 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     return stats, outcomes.tolist()
 
 
-def _scalar_tail(tags, ages, request, hit, survivors, spans, first_stamp, prefix_mask) -> None:
+def _scalar_tail(tags, ages, request, weight, hit, histogram, spans, first_stamp,
+                 prefix_mask) -> int:
     """Finish the remaining sets one at a time, one access at a time on list rows.
 
     Row i's remaining accesses are ``request[lo:hi]`` for the i-th
     ``(lo, hi)`` of ``spans``; the j-th of them takes the stamp
     ``first_stamp + j``, the one the j-th remaining round would give it.
     Empty ways hold None in place of a tag and a prefix, so list.count
-    and ``in`` compare only valid ways.
+    and ``in`` compare only valid ways.  Each row's survivor counts are
+    added, weighted as the rounds weight theirs, to ``histogram``, and
+    its hits are written to ``hit`` when that is not None; the number of
+    hits is returned.
     """
+    found = 0
     for row, (lo, hi) in enumerate(spans):
         row_ages = ages[row].tolist()
         row_tags = [tag if age >= 0 else None for tag, age in zip(tags[row].tolist(), row_ages)]
@@ -300,10 +325,13 @@ def _scalar_tail(tags, ages, request, hit, survivors, spans, first_stamp, prefix
                 row_tags[way] = req
                 row_prefixes[way] = prefix
             row_ages[way] = stamp
-        hit[lo:hi] = hits
-        survivors[lo:hi] = counts
+        found += hits.count(True)
+        if hit is not None:
+            hit[lo:hi] = hits
+        histogram += np.bincount(counts, None if weight is None else weight[lo:hi], histogram.size)
         tags[row] = [0 if t is None else t for t in row_tags]
         ages[row] = row_ages
+    return found
 
 
 def run_trace(state: CacheState, trace) -> SimStats:

@@ -541,10 +541,10 @@ class TestTraceMove:
     """The engine's preprocessing moves the trace once and holds little beside it."""
 
     def test_peak_memory_per_access(self):
-        # The set-sorted block numbers and the sort order take 8 bytes per
-        # access each, and at this length the state's working copies about 3
-        # more: 19.6 in all.  A third 8-byte array held beside the first two,
-        # such as a copy of the block numbers, reads 26.1.
+        # The peak is the set-sorted block numbers and the sort order that
+        # gathers them, 8 bytes per access each: 16.1 in all.  Per-access hit
+        # and survivor arrays, with an 8-byte cast of the survivors for one
+        # bincount at the end of the run, read 19.6.
         config = CacheConfig(cache_size=1 << 20, block_size=64, associativity=8, address_bits=40)
         state = CacheState(config, k=4)
         warm_fill(state)
@@ -559,7 +559,7 @@ class TestTraceMove:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak / trace.size < 23
+        assert peak / trace.size < 18
 
 
 class TestStampCodes:
