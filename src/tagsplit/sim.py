@@ -13,7 +13,8 @@ hardware reads all prefix columns in parallel, so step 1 always costs
 k bits per way) but they can neither survive to step 2 nor hit.
 
 ``run_trace`` and ``trace_outcomes`` fold a trace into a ``CacheState``
-set-parallel: sets are independent, so once the trace is sorted by set,
+set-parallel: sets are independent, so once the trace is sorted by set
+(in place, on keys that pack each access's set above its position),
 round r applies the r-th access of every set at once as numpy
 operations, reading and writing each set's access where it lies in set
 order, at a cursor the round advances.  The state is ways-major,
@@ -61,6 +62,8 @@ __all__ = [
 # uniform, hot-set and large-cache traces; on 20k-access zipf traces 32 is
 # the fastest and 128 about 35% slower.
 _SCALAR_TAIL_SETS = 32
+# Accesses per step of the sort-key passes over the trace
+_KEY_CHUNK = 1 << 16
 
 
 @dataclass
@@ -140,9 +143,9 @@ class CacheState:
 def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
     """Run the trace set-parallel; the counters and, if asked, per-access hits.
 
-    The trace moves once: the caller's addresses are gathered, stable by
-    set, into set order and shifted to block numbers in place there; the
-    caller's array is never written.  Within a set, a run of accesses
+    The trace moves once: keys ``set << position_bits | position`` are
+    sorted in place, then each is replaced by its access's block number;
+    the caller's array is never written.  Within a set, a run of accesses
     to one tag hits from its second access on, and the second leaves the
     set's tags and LRU order as they were, so every later access of the
     run repeats the second's survivor count.  Those later accesses are
@@ -184,16 +187,30 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
     sets, ways, accesses = config.sets, config.associativity, addresses.size
 
-    set_of = addresses >> config.offset_bits
-    set_of &= sets - 1
-    set_of = set_of.astype(np.min_scalar_type(sets - 1))  # the 8-byte key is freed before the sort
-    counts = np.bincount(set_of, minlength=sets)
-    by_set = np.argsort(set_of, kind="stable")
-    del set_of
-    request = addresses[by_set]  # the one move of the trace; addresses is the caller's, unwritten
-    request >>= config.offset_bits
-    if not want_outcomes:
-        del by_set
+    # The keys are distinct, so an unstable sort gives the stable set order.
+    # They fit in 64 bits unless sets * accesses > 2**64, a state and trace
+    # of over 64 GiB.
+    position_bits = (accesses - 1).bit_length()
+    if config.index_bits + position_bits > 64:
+        raise ValueError(f"{sets} sets and {accesses} accesses do not fit in 64-bit sort keys")
+    keys = np.empty(accesses, dtype=np.uint64)
+    counts = np.zeros(sets, dtype=np.intp)
+    for lo in range(0, accesses, _KEY_CHUNK):  # in chunks: no trace-sized temporary
+        chunk = keys[lo:lo + _KEY_CHUNK]
+        np.right_shift(addresses[lo:lo + _KEY_CHUNK], config.offset_bits, out=chunk)
+        chunk &= sets - 1
+        counts += np.bincount(chunk.view(np.int64), minlength=sets)
+        chunk <<= position_bits
+        chunk |= np.arange(lo, lo + chunk.size, dtype=np.uint64)
+    keys.sort()
+    position_mask = (1 << position_bits) - 1
+    by_set = (keys & position_mask).view(np.int64) if want_outcomes else None
+    for lo in range(0, accesses, _KEY_CHUNK):  # the one move of the trace, unwritten
+        chunk = keys[lo:lo + _KEY_CHUNK]
+        chunk &= position_mask
+        np.right_shift(addresses[chunk.view(np.int64)], config.offset_bits, out=chunk)
+    request = keys  # the set-sorted block numbers
+    del keys, chunk  # the fold below drops request; no other name may keep it alive
     # kept[i]: access i is not the third or later of a run; one block number is one set and tag
     kept = np.ones(accesses, dtype=bool)
     kept[2:] = request[2:] != request[1:-1]
@@ -239,6 +256,8 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     histogram = np.zeros(ways + 1)
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
     row_index = np.arange(rows.size)
+    survivor_type = np.min_scalar_type(ways)
+    flat_tags, flat_codes = tags.reshape(-1), codes.reshape(-1)  # slot = way * rows + row
     r = 0
     while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
         now = at[: active[r]]  # a view: the cursors advance in place below
@@ -247,20 +266,24 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         same = diff == 0
         diff &= prefix_mask
         match = diff == 0
+        del diff
         if not all_valid:
             valid = c >= 0
             same &= valid
             match &= valid
         hits += int(np.count_nonzero(same))  # a set holds each tag at most once
-        survivors = match.sum(axis=0)
+        survivors = np.add.reduce(match, axis=0, dtype=survivor_type)
         histogram += np.bincount(survivors, None if weight is None else weight[now], ways + 1)
         if want_outcomes:
             hit[now] = same.any(axis=0)
         np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
-        way = c.min(axis=0) & (ways - 1)  # the hit way, else the LRU way
-        here = row_index[: active[r]]
-        t[way, here] = q
-        c[way, here] = ((clock + r) << shift) | way
+        code = np.minimum.reduce(c, axis=0)
+        code &= ways - 1  # the hit way, else the LRU way
+        slot = code * rows.size
+        slot += row_index[: active[r]]
+        flat_tags[slot] = q
+        code |= (clock + r) << shift
+        flat_codes[slot] = code
         now += 1
         r += 1
     codes >>= shift
