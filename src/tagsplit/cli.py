@@ -73,6 +73,9 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 _POINT_COLUMNS = SWEEP_COLUMNS[:5]
 _TAIL_COLUMNS = SWEEP_COLUMNS[5:]
 _SIM_COLUMNS = SWEEP_COLUMNS[13:15]
+# the CacheConfig attributes that open the analyze and simulate reports
+_GEOMETRY_CELLS = ("cache_size", "block_size", "associativity", "address_bits",
+                   "sets", "index_bits", "offset_bits", "tag_bits")
 
 CURVE_COLUMNS = (
     "config_id",
@@ -235,8 +238,6 @@ def _grid_points(sizes, assocs, addr_bits, block: int):
                     errors.append(f"{label}: {exc}")
     if errors:
         raise ValueError("invalid grid entries:\n" + "\n".join(errors))
-    if not points:
-        raise ValueError("the sweep grid is empty")
     return points
 
 
@@ -261,8 +262,8 @@ def _k_ranges(k_range: tuple[int, int], tag_lengths) -> dict[int, range]:
     return {n: range(low, min(high, n) + 1) for n in tag_lengths}
 
 
-def _point_cells(config: CacheConfig) -> dict:
-    return {name: getattr(config, name) for name in _POINT_COLUMNS}
+def _config_cells(config: CacheConfig, names) -> dict:
+    return {name: getattr(config, name) for name in names}
 
 
 def _split_runs(tag_bits: int, ways: int, ks: range, params) -> list[dict]:
@@ -343,7 +344,7 @@ def _sweep_blocks(points, pairs, traces, encode):
         if traces:
             trace = traces[config.address_bits]
             tails = [encode(_simulated_tail(config, tail, trace)) for tail in tails]
-        yield encode(_point_cells(config)), tails
+        yield encode(_config_cells(config, _POINT_COLUMNS)), tails
 
 
 def _parse_bool(text: str) -> bool:
@@ -406,7 +407,8 @@ def read_sweep_csv(path) -> list[SweepRow]:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             total = tail["total_bits"]
-            derived = {**_point_cells(config), **tail, **_sim_cells(row.sim_bits_per_access, total)}
+            derived = {**_config_cells(config, _POINT_COLUMNS), **tail,
+                       **_sim_cells(row.sim_bits_per_access, total)}
             del derived["energy_ratio"]
             if row.energy_ratio is not None:
                 derived["mttf_ratio"] = baseline_bits(config.tag_bits, row.associativity) / total
@@ -427,14 +429,6 @@ def _print_report(cells: dict) -> None:
         print(f"{name}: {format_value(value)}")
 
 
-def _geometry_cells(config: CacheConfig) -> dict:
-    return {
-        name: getattr(config, name)
-        for name in ("cache_size", "block_size", "associativity", "address_bits",
-                     "sets", "index_bits", "offset_bits", "tag_bits")
-    }
-
-
 def _configure(args):
     """(config, k) of one configuration's flags; k defaults to the optimum."""
     config = CacheConfig(args.addr_bits, args.size, args.block, args.assoc)
@@ -448,7 +442,7 @@ def cmd_analyze(args) -> int:
     opt = k_min_integer(config.tag_bits, config.associativity)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     _print_report({
-        **_geometry_cells(config),
+        **_config_cells(config, _GEOMETRY_CELLS),
         "baseline_bits_per_access": baseline_bits(config.tag_bits, config.associativity),
         "k_optimal": opt.k_optimal,
         "k_min": opt.k_min,
@@ -515,7 +509,7 @@ def cmd_simulate(args) -> int:
     base = baseline_bits(config.tag_bits, config.associativity)
     observed, relative_error = _sim_cells(stats.bits_per_access, ev.total_bits).values()
     run = {
-        **_geometry_cells(config),
+        **_config_cells(config, _GEOMETRY_CELLS),
         "k": k,
         "warmed": bool(args.warm),
         "accesses": stats.accesses,
@@ -582,7 +576,7 @@ def cmd_curves(args) -> int:
         base = baseline_bits(n, assoc)
         head = {
             "config_id": f"{format_size(config.cache_size)}-{assoc}w-{config.address_bits}b",
-            **_point_cells(config),
+            **_config_cells(config, _POINT_COLUMNS),
         }
         for k in ks[n]:
             ev = expected_reads(n, assoc, k)

@@ -62,7 +62,8 @@ __all__ = [
 # uniform, hot-set and large-cache traces; on 20k-access zipf traces 32 is
 # the fastest and 128 about 35% slower.
 _SCALAR_TAIL_SETS = 32
-# Accesses per step of the sort-key passes over the trace
+# Accesses per step of the sort-key passes over the trace and of the
+# per-set count of the kept accesses
 _KEY_CHUNK = 1 << 16
 
 
@@ -151,8 +152,9 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     run repeats the second's survivor count.  Those later accesses are
     folded into the second, which keeps their number in a weight; this
     is trace stripping (Wang & Baer, SIGMETRICS 1990).  A block number
-    names one set and one tag, so runs are found on block numbers alone,
-    and the kept ones are shifted to tags after the fold.
+    names one set and one tag, so runs are found on block numbers alone;
+    after the fold, each set's kept accesses are counted once, from the
+    index bits, and then the kept block numbers are shifted to tags.
 
     The kept accesses stay in set order.  The sets are rows ordered by
     access count, busiest first, so the sets active in round r are a
@@ -194,12 +196,10 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     if config.index_bits + position_bits > 64:
         raise ValueError(f"{sets} sets and {accesses} accesses do not fit in 64-bit sort keys")
     keys = np.empty(accesses, dtype=np.uint64)
-    counts = np.zeros(sets, dtype=np.intp)
     for lo in range(0, accesses, _KEY_CHUNK):  # in chunks: no trace-sized temporary
         chunk = keys[lo:lo + _KEY_CHUNK]
         np.right_shift(addresses[lo:lo + _KEY_CHUNK], config.offset_bits, out=chunk)
         chunk &= sets - 1
-        counts += np.bincount(chunk.view(np.int64), minlength=sets)
         chunk <<= position_bits
         chunk |= np.arange(lo, lo + chunk.size, dtype=np.uint64)
     keys.sort()
@@ -222,9 +222,11 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
         request = request[kept]
         if want_outcomes:
             by_set = by_set[kept]
-        # each set's kept accesses; bincount counts in intp
-        counts = np.bincount((request & (sets - 1)).astype(np.intp), minlength=sets)
     del kept
+    counts = np.zeros(sets, dtype=np.intp)  # each set's kept accesses
+    for lo in range(0, request.size, _KEY_CHUNK):
+        counts += np.bincount((request[lo:lo + _KEY_CHUNK] & (sets - 1)).view(np.int64),
+                              minlength=sets)
     request >>= config.index_bits
 
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]

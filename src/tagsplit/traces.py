@@ -109,6 +109,10 @@ def zipf_block_trace(
     i**-exponent over a bounded population, giving a few very hot
     blocks and a long cold tail.  Intended as a qualitative locality
     workload, not a calibrated benchmark.
+
+    The weights are normalised in place, so one population-sized array
+    is held beside ``Generator.choice``'s own cdf; passing
+    ``p=weights / weights.sum()`` would hold a normalised copy as well.
     """
     length = _check_length(length)
     mask = _address_mask(address_bits)
@@ -121,9 +125,9 @@ def zipf_block_trace(
             f"footprint {num_blocks} blocks * {block_size} B exceeds the "
             f"{address_bits}-bit address space"
         )
-    ranks = np.arange(1, num_blocks + 1, dtype=np.float64)
-    weights = ranks ** -float(exponent)
-    blocks = _rng(seed).choice(num_blocks, size=length, p=weights / weights.sum())
+    weights = np.arange(1, num_blocks + 1, dtype=np.float64) ** -float(exponent)
+    weights /= weights.sum()
+    blocks = _rng(seed).choice(num_blocks, size=length, p=weights)
     return blocks.astype(np.uint64) * np.uint64(block_size)
 
 

@@ -62,6 +62,20 @@ class TestGenerators:
         trace = zipf_block_trace(1000, seed=2, block_size=64)
         assert not (trace % 64).any()
 
+    def test_zipf_block_holds_one_weights_array(self):
+        # The weights are normalised in place, so the peak is the weights
+        # plus Generator.choice's cdf, 2 x 8 B per block; each further
+        # population-sized array would add 1.
+        num_blocks = 1 << 18
+        zipf_block_trace(1000, seed=0, num_blocks=num_blocks)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            zipf_block_trace(1000, seed=0, num_blocks=num_blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * num_blocks) <= 2.5
+
     def test_dispatcher_and_kind_validation(self):
         assert np.array_equal(
             generate_trace("uniform", 10, 5, address_bits=32),
