@@ -31,6 +31,7 @@ from .optimum import k_min_integer
 from .sim import CacheState, run_trace, warm_fill
 from .traces import (
     TRACE_KINDS,
+    as_addresses,
     generate_trace,
     read_trace_binary,
     read_trace_text,
@@ -197,7 +198,8 @@ def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
     format's encode.  Each tail ends one row of the block, and every row
     starts with the head, which is "" when the tails cover all columns.
     A block holds at least one row and takes one write.  encoded_blocks is called before path is
-    opened, so an error it raises leaves no file behind.
+    opened, so an error it raises leaves no file behind; an error raised
+    while a block is produced leaves the blocks before it in the file.
     """
     if output_format not in _RUN_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
@@ -329,12 +331,20 @@ def _sim_cells(observed: float | None, total_bits: float) -> dict:
     return dict(zip(_SIM_COLUMNS, (observed, (observed - total_bits) / total_bits)))
 
 
+def _checked_run(state: CacheState, trace, warm: bool):
+    """The trace's counters on state, warmed first if warm, with every
+    counter identity checked (an AssertionError, exit 4, names one that fails)."""
+    if warm:
+        warm_fill(state)
+    stats = run_trace(state, trace)
+    stats.validate(state.config.tag_bits, state.k)
+    return stats
+
+
 def _simulated_tail(config: CacheConfig, tail: dict, trace) -> dict:
     """tail with the simulation cells of its k on a fresh warm cache."""
     # a fresh warm cache per row: rows of one grid point differ in k
-    state = CacheState(config, tail["k"])
-    warm_fill(state)
-    observed = run_trace(state, trace).bits_per_access
+    observed = _checked_run(CacheState(config, tail["k"]), trace, True).bits_per_access
     return {**tail, **_sim_cells(observed, tail["total_bits"])}
 
 
@@ -483,28 +493,25 @@ def _is_binary_trace(path: str) -> bool:
     raise ValueError(f"cannot infer trace format from {path!r}; use .trace/.txt or .bin")
 
 
-def _load_trace(args):
+def _load_trace(args, address_bits: int):
+    """The generated trace, or the trace file's addresses checked to fit
+    in address_bits, with the file's path in front of the error that names
+    the first one outside."""
     if args.trace is None:
         return _generate(args.gen, args)
-    if _is_binary_trace(args.trace):
-        return read_trace_binary(args.trace)
-    return read_trace_text(args.trace)
+    read = read_trace_binary if _is_binary_trace(args.trace) else read_trace_text
+    trace = read(args.trace)
+    try:
+        return as_addresses(trace, address_bits)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
     params = load_params(args.params) if args.params is not None else None
     config, k = _configure(args)
-    state = CacheState(config, k)
-    trace = _load_trace(args)
-    if args.warm:
-        warm_fill(state)
-    try:
-        stats = run_trace(state, trace)
-    except ValueError as exc:
-        if args.trace is None:
-            raise
-        raise ValueError(f"{args.trace}: {exc}") from None
-    stats.validate(config.tag_bits, k)
+    state = CacheState(config, k)  # k is checked before the trace is read
+    stats = _checked_run(state, _load_trace(args, config.address_bits), args.warm)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     base = baseline_bits(config.tag_bits, config.associativity)
     observed, relative_error = _sim_cells(stats.bits_per_access, ev.total_bits).values()

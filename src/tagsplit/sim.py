@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CacheConfig
+from .model import CacheConfig, _splitting_point
 from .traces import as_addresses
 
 __all__ = [
@@ -129,12 +129,8 @@ class CacheState:
     """
 
     def __init__(self, config: CacheConfig, k: int):
-        if k != int(k) or not 0 <= int(k) <= config.tag_bits:
-            raise ValueError(
-                f"splitting point k must be an integer in [0, {config.tag_bits}], got {k!r}"
-            )
         self.config = config
-        self.k = int(k)
+        self.k = _splitting_point(k, config.tag_bits)
         ways = config.associativity
         self._ages = np.repeat(np.arange(-ways, 0, dtype=np.int64)[:, None], config.sets, axis=1)
         self._tags = np.zeros(self._ages.shape, dtype=np.uint64)

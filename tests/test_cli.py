@@ -478,6 +478,33 @@ class TestSweep:
         assert simulated == [row.k for row in read_sweep_csv(out)]
         assert len(simulated) == 2 * 2 * 2 * 3
 
+    def test_each_simulated_rows_counter_identities_are_checked(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def run(state, trace):
+            # the third row's, the second grid point's first, is one access short
+            stats = real_run(state, trace)
+            calls.append(state.k)
+            if len(calls) == 3:
+                histogram = list(stats.matched_way_histogram)
+                histogram[histogram.index(max(histogram))] -= 1
+                stats = dataclasses.replace(stats, matched_way_histogram=histogram)
+            return stats
+
+        real_run = cli.run_trace
+        monkeypatch.setattr(cli, "run_trace", run)
+        out = tmp_path / "sim.csv"
+        args = ["sweep", "--sizes", "64K,256K", "--assocs", "4", "--addr-bits", "32",
+                "--k-range", "2:3", "--simulate", "--trace-length", "500", "--out", str(out)]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "internal invariant violated: counter identity violated: "
+            "histogram sums to accesses\n"
+        )
+        assert calls == [2, 3, 2]
+        # the first grid point's rows stay in the file, after the header
+        assert len(out.read_text().splitlines()) == 3
+
     def test_simulation_beyond_the_generators_address_width_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         args = ["sweep", "--sizes", "64K", "--assocs", "4", "--addr-bits", "40,72",
