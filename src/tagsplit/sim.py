@@ -26,12 +26,19 @@ Each round adds its hits and its survivor counts to two running
 counters; only ``trace_outcomes`` keeps a per-access hit array.  A run
 that starts with no empty way skips the rounds' empty-way mask, which
 is exact, as no access empties a way.
+A trace longer than ``_TRACE_CHUNK`` accesses is folded in consecutive
+slices of that length, each from the state the one before it left, and
+their counters are added up.  Sets are independent, so this is exact:
+the counters, outcomes, tags and LRU order are those of one fold over
+the whole trace, and only the raw stamp values can differ.  The
+engine's working memory is therefore bounded by the slice, not the
+trace.
 Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
 Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
 each of those is finished in turn, one access at a time, on its own
-contiguous slice, so a hot set whose consecutive accesses change tag
+contiguous span, so a hot set whose consecutive accesses change tag
 costs about one scalar step per access instead of one numpy round each.
 The tests check this engine, state for state, against a per-access
 reference; ``baseline_outcomes`` is an independent full-tag reference
@@ -62,9 +69,14 @@ __all__ = [
 # uniform, hot-set and large-cache traces; on 20k-access zipf traces 32 is
 # the fastest and 128 about 35% slower.
 _SCALAR_TAIL_SETS = 32
-# Accesses per step of the sort-key passes over the trace and of the
+# Accesses per step of the sort-key passes over a slice and of the
 # per-set count of the kept accesses
 _KEY_CHUNK = 1 << 16
+# Accesses per slice of a trace: one _fold each, so the engine's working
+# memory stops growing with the trace.  Every trace of up to 2**18 accesses
+# runs as one fold; 2**17 split the benchmark's 250k-access trace in two,
+# which cost it 3-7 ms.
+_TRACE_CHUNK = 1 << 18
 
 
 @dataclass
@@ -137,10 +149,61 @@ class CacheState:
         self._clock = 0  # stamp of the next access
 
 
-def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list[bool] | None]:
-    """Run the trace set-parallel; the counters and, if asked, per-access hits.
+def _run(state: CacheState, trace, outcomes: list[bool] | None) -> SimStats:
+    """Fold the trace slice by slice; its counters and, if asked, per-access hits.
 
-    The trace moves once: keys ``set << position_bits | position`` are
+    Consecutive slices of at most _TRACE_CHUNK accesses each take one
+    _fold, which starts from the state the slice before it left, so the
+    counters, outcomes, tags and LRU order are those of one fold of the
+    whole trace; only the stamp values can differ.  The trace is checked
+    once, and both bounds below are checked for the whole trace before
+    the first slice changes the state: the first slice is the longest,
+    so its sort keys are the widest, and a slice takes at most one stamp
+    per access, so no later slice's stamps go past ``clock + accesses``.
+    """
+    config = state.config
+    addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
+    ways, accesses = config.associativity, addresses.size
+    # The keys are distinct, so an unstable sort gives the stable set order.
+    # They fit in 64 bits unless sets times the first, longest slice's length
+    # exceed 2**64: over 2**46 sets at the default slice length.
+    first = min(accesses, _TRACE_CHUNK)
+    if config.index_bits + (first - 1).bit_length() > 64:
+        raise ValueError(f"{config.sets} sets and {first} accesses do not fit in 64-bit sort keys")
+    shift = (ways - 1).bit_length()
+    last = state._clock + accesses  # no slice takes more stamps than it has accesses
+    if last << shift > np.iinfo(np.int64).max:
+        raise ValueError(f"LRU stamps up to {last} do not fit in int64 beside {shift} way bits")
+    # float64 weighted bins are exact integers: no trace has 2**53 accesses
+    histogram = np.zeros(ways + 1)
+    hits = 0
+    for lo in range(0, accesses, _TRACE_CHUNK):
+        hits += _fold(state, addresses[lo:lo + _TRACE_CHUNK], histogram, outcomes)
+    histogram = histogram.astype(np.int64).tolist()
+    tag_bits = config.tag_bits
+    stats = SimStats(
+        ways=ways,
+        accesses=accesses,
+        hits=hits,
+        misses=accesses - hits,
+        step1_bit_reads=accesses * state.k * ways,
+        step2_bit_reads=(tag_bits - state.k) * sum(s * c for s, c in enumerate(histogram)),
+        baseline_bit_reads=accesses * tag_bits * ways,
+        matched_way_histogram=histogram,
+    )
+    return stats
+
+
+def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
+          outcomes: list[bool] | None) -> int:
+    """Run one checked slice of a trace set-parallel; the number of its hits.
+
+    Each access's survivor count is added to ``histogram``, and when
+    ``outcomes`` is not None, the slice's hits are appended to it in
+    trace order.  The caller has checked the sort keys' width and the
+    stamps (see _run).
+
+    The slice moves once: keys ``set << position_bits | position`` are
     sorted in place, then each is replaced by its access's block number;
     the caller's array is never written.  Within a set, a run of accesses
     to one tag hits from its second access on, and the second leaves the
@@ -157,7 +220,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     prefix of the rows, and each row keeps a cursor at its next kept
     access: round r reads and writes the accesses at the active rows'
     cursors, then advances them.  The scalar tail finishes the remaining
-    rows one after another, each on its own contiguous slice.
+    rows one after another, each on its own contiguous span.
 
     The rounds run on working copies of the state's columns, in row
     order: tags of shape (ways, rows) and int64 codes
@@ -170,8 +233,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     recently used way.  A hit way's code is first overwritten in place by
     ``way + INT64_MIN``, below every real code, so one min picks the hit
     way when there is one and the LRU way otherwise; the picked way then
-    takes the new stamp's code.  A run whose stamps would not fit beside
-    the way bits in int64 is refused before the state changes.
+    takes the new stamp's code.
 
     Each round adds its hit count and the weighted bincount of its
     survivor counts to two counters; ``hit`` is allocated and written
@@ -182,17 +244,11 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     the new stamp's code in the same round.
     """
     config = state.config
-    addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
     sets, ways, accesses = config.sets, config.associativity, addresses.size
-
-    # The keys are distinct, so an unstable sort gives the stable set order.
-    # They fit in 64 bits unless sets * accesses > 2**64, a state and trace
-    # of over 64 GiB.
+    want_outcomes = outcomes is not None
     position_bits = (accesses - 1).bit_length()
-    if config.index_bits + position_bits > 64:
-        raise ValueError(f"{sets} sets and {accesses} accesses do not fit in 64-bit sort keys")
     keys = np.empty(accesses, dtype=np.uint64)
-    for lo in range(0, accesses, _KEY_CHUNK):  # in chunks: no trace-sized temporary
+    for lo in range(0, accesses, _KEY_CHUNK):  # in chunks: no slice-sized temporary
         chunk = keys[lo:lo + _KEY_CHUNK]
         np.right_shift(addresses[lo:lo + _KEY_CHUNK], config.offset_bits, out=chunk)
         chunk &= sets - 1
@@ -201,7 +257,7 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     keys.sort()
     position_mask = (1 << position_bits) - 1
     by_set = (keys & position_mask).view(np.int64) if want_outcomes else None
-    for lo in range(0, accesses, _KEY_CHUNK):  # the one move of the trace, unwritten
+    for lo in range(0, accesses, _KEY_CHUNK):  # the one move of the slice, unwritten
         chunk = keys[lo:lo + _KEY_CHUNK]
         chunk &= position_mask
         np.right_shift(addresses[chunk.view(np.int64)], config.offset_bits, out=chunk)
@@ -235,13 +291,8 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
     shift = (ways - 1).bit_length()
     clock = state._clock
-    int64 = np.iinfo(np.int64)
-    if (clock + rounds) << shift > int64.max:
-        raise ValueError(
-            f"LRU stamps up to {clock + rounds} do not fit in int64 beside {shift} way bits"
-        )
     way_column = np.arange(ways, dtype=np.int64)[:, None]
-    hit_codes = way_column + int64.min  # below every stamp code, in way order
+    hit_codes = way_column + np.iinfo(np.int64).min  # below every stamp code, in way order
     # np.take, not state._tags[:, rows]: that copy is F-ordered, so every round would stride
     tags = np.take(state._tags, rows, axis=1)
     codes = np.take(state._ages, rows, axis=1)
@@ -250,8 +301,6 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     all_valid = codes.min(initial=0) >= 0  # no empty way, so no mask (see above)
     hit = np.empty(request.size, dtype=bool) if want_outcomes else None
     hits = 0  # of the kept accesses
-    # float64 weighted bins are exact integers: no trace has 2**53 accesses
-    histogram = np.zeros(ways + 1)
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
     row_index = np.arange(rows.size)
     survivor_type = np.min_scalar_type(ways)
@@ -295,24 +344,12 @@ def _fold(state: CacheState, trace, want_outcomes: bool) -> tuple[SimStats, list
     state._tags[:, rows] = tags
     state._ages[:, rows] = codes
     state._clock = clock + rounds
-    histogram = histogram.astype(np.int64).tolist()
     hits += accesses - request.size  # every folded access hits
-    tag_bits = config.tag_bits
-    stats = SimStats(
-        ways=ways,
-        accesses=accesses,
-        hits=hits,
-        misses=accesses - hits,
-        step1_bit_reads=accesses * state.k * ways,
-        step2_bit_reads=(tag_bits - state.k) * sum(s * c for s, c in enumerate(histogram)),
-        baseline_bit_reads=accesses * tag_bits * ways,
-        matched_way_histogram=histogram,
-    )
-    if not want_outcomes:
-        return stats, None
-    outcomes = np.ones(accesses, dtype=bool)  # folded accesses hit
-    outcomes[by_set] = hit
-    return stats, outcomes.tolist()
+    if want_outcomes:
+        in_order = np.ones(accesses, dtype=bool)  # folded accesses hit
+        in_order[by_set] = hit
+        outcomes += in_order.tolist()
+    return hits
 
 
 def _scalar_tail(tags, ages, request, weight, hit, histogram, spans, first_stamp,
@@ -357,12 +394,14 @@ def _scalar_tail(tags, ages, request, weight, hit, histogram, spans, first_stamp
 
 def run_trace(state: CacheState, trace) -> SimStats:
     """Counters of the trace; state ends as if each address were looked up in turn."""
-    return _fold(state, trace, want_outcomes=False)[0]
+    return _run(state, trace, None)
 
 
 def trace_outcomes(state: CacheState, trace) -> list[bool]:
     """Per-access hit/miss sequence (True on hit) for the trace."""
-    return _fold(state, trace, want_outcomes=True)[1]
+    outcomes = []
+    _run(state, trace, outcomes)
+    return outcomes
 
 
 def warm_fill(state: CacheState) -> None:

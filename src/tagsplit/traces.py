@@ -270,8 +270,12 @@ def _block_words(block: bytes, path, first_line: int) -> np.ndarray:
 def read_trace_text(path) -> np.ndarray:
     """The addresses of a text trace (see README "Text traces").
 
-    The file is read in blocks of _TEXT_CHUNK bytes, so besides the
-    result (8 bytes per address) it needs memory for one block.
+    The file is read in blocks of _TEXT_CHUNK bytes, and each block's
+    addresses are kept until the last block is read and all are joined
+    into the result, so the peak is two copies of the result: about 16
+    bytes per address (tracemalloc: 16.2 on a 250k-line trace).  On a
+    short file one block's decoding arrays set the peak instead: about
+    0.6 MiB for lines of 11 characters, so 47 bytes per address at 20k.
     Malformed input raises TraceParseError naming the path and line.
     """
     parts = []

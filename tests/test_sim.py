@@ -30,6 +30,7 @@ from tagsplit.sim import (
 from tagsplit.traces import (
     TRACE_KINDS,
     as_addresses,
+    generate_trace,
     stride_trace,
     uniform_trace,
     write_trace_binary,
@@ -420,13 +421,16 @@ START_STATES = ("cold", "warm", "used")
 TAIL_THRESHOLDS = (0, sim._SCALAR_TAIL_SETS, 1 << 30)
 # accesses per step of the engine's sort-key passes: tiny, so traces span many
 CHUNK_LENGTHS = (1, 3, sim._KEY_CHUNK)
+# accesses per slice of a trace, one fold each: tiny, so traces span many
+SLICE_LENGTHS = (1, 3, sim._TRACE_CHUNK)
 
 
 def assert_engine_matches_reference(config, k, start, prefix, trace, tail,
-                                    chunk=sim._KEY_CHUNK) -> None:
+                                    chunk=sim._KEY_CHUNK, slice_length=sim._TRACE_CHUNK) -> None:
     """run_trace and trace_outcomes leave what the reference leaves, state for state."""
     with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail), \
-            mock.patch.object(sim, "_KEY_CHUNK", chunk):
+            mock.patch.object(sim, "_KEY_CHUNK", chunk), \
+            mock.patch.object(sim, "_TRACE_CHUNK", slice_length):
         slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
         if start == "used":
             reference_fold(slow, prefix)
@@ -464,6 +468,7 @@ class TestDifferential:
             data.draw(differential_traces(config), label="trace"),
             data.draw(st.sampled_from(TAIL_THRESHOLDS), label="tail"),
             data.draw(st.sampled_from(CHUNK_LENGTHS), label="chunk"),
+            data.draw(st.sampled_from(SLICE_LENGTHS), label="slice"),
         )
 
     @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
@@ -477,7 +482,9 @@ class TestDifferential:
         prefix = data.draw(differential_traces(config), label="prefix")
         trace = data.draw(differential_traces(config, ("repeat runs",)), label="trace")
         chunk = data.draw(st.sampled_from(CHUNK_LENGTHS), label="chunk")
-        assert_engine_matches_reference(config, k, start, prefix, trace, tail, chunk)
+        slice_length = data.draw(st.sampled_from(SLICE_LENGTHS), label="slice")
+        assert_engine_matches_reference(config, k, start, prefix, trace, tail, chunk,
+                                        slice_length)
 
     def test_a_repeated_address_costs_two_rounds(self):
         repeats = 10**5
@@ -562,23 +569,32 @@ def run_trace_peak_per_access(trace) -> float:
 
 
 class TestTraceMove:
-    """The engine's preprocessing moves the trace once and holds little beside it."""
+    """The engine's preprocessing moves each slice once and holds little beside the trace."""
 
     def test_peak_memory_per_access(self):
-        # The sort keys, 8 bytes per access, become the set-sorted block
-        # numbers in place, and the key passes go in chunks.  Uniform traffic
-        # folds nothing, so at this length the peak is in the rounds, whose
-        # copies of the state and temporaries add 0.6 MiB: 11.3 in all.  At
-        # 10**6 accesses the run mask and a compare beside it set it at 10.0.
+        # One slice: the sort keys, 8 bytes per access, become the set-sorted
+        # block numbers in place, and the key passes go in chunks.  Uniform
+        # traffic folds nothing, so at this length the peak is in the rounds,
+        # whose copies of the state and temporaries add 0.6 MiB: 11.3 in all.
         # A stable argsort beside the block numbers read 16.1.
         assert run_trace_peak_per_access(uniform_trace(200_000, seed=0, address_bits=40)) < 12
 
     def test_peak_memory_per_access_on_a_folded_trace(self):
         # Here the peak is where the kept accesses are gathered: the keys, the
-        # kept indices, their weights and the gathered copy, 13.8 in all
+        # kept indices, their weights and the gathered copy, 13.7 in all
         # (about a quarter of the accesses are kept).  The argsort read 16.1.
         trace = zipf_block_trace(200_000, seed=0, address_bits=40)
         assert run_trace_peak_per_access(trace) < 15
+
+    def test_peak_memory_stops_growing_with_the_trace(self):
+        # Four slices of at most 2**18 accesses: the peak is one slice's,
+        # 2.76 bytes per access of the whole trace.
+        assert run_trace_peak_per_access(uniform_trace(10**6, seed=0, address_bits=40)) < 4
+
+    def test_peak_memory_stops_growing_with_a_folded_trace(self):
+        # One slice's gather of its kept accesses sets the peak: 3.61.
+        trace = zipf_block_trace(10**6, seed=0, address_bits=40)
+        assert run_trace_peak_per_access(trace) < 5
 
 
 class TestKeyChunks:
@@ -618,6 +634,85 @@ class TestKeyChunks:
         with pytest.raises(ValueError, match="do not fit in 64-bit sort keys"):
             run_trace(state, list(range(32)))
         assert state._clock == 0 and not state._tags.any()
+
+
+class TestTraceSlices:
+    """A long trace folds in slices of _TRACE_CHUNK accesses; no boundary changes a result."""
+
+    @pytest.mark.parametrize("slice_length", [1, 2, 3, 5])
+    @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
+    @pytest.mark.parametrize("start", START_STATES)
+    def test_a_repeat_run_across_slice_boundaries(self, start, tail, slice_length):
+        # runs of one tag in set 2, of 2 to 6 accesses, interleaved with other
+        # sets' accesses and broken by a second tag: each crosses slices of
+        # some of these lengths, so a slice may start at any place in a run
+        run, other = addr(TINY, 5, 2), addr(TINY, 6, 2)
+        trace = [run, addr(TINY, 1, 0), run, run, addr(TINY, 2, 3), run, run, run, other,
+                 run, run, run, run, addr(TINY, 1, 1), run, run, other, run, run]
+        prefix = uniform_trace(50, seed=14, address_bits=16)
+        assert_engine_matches_reference(TINY, 3, start, prefix, trace, tail,
+                                        slice_length=slice_length)
+
+    @pytest.mark.parametrize("slice_length", [1, 3, 700])
+    def test_a_hot_set_spans_slices_inside_the_scalar_tail(self, slice_length):
+        config = DIFFERENTIAL_CONFIGS[2]  # 64 sets of 4 ways, so most slices end in the tail
+        trace = hot_set_trace(config, 3000, random.Random(19))
+        slices = -(-len(trace) // slice_length)
+        with mock.patch.object(sim, "_scalar_tail", wraps=sim._scalar_tail) as tail:
+            assert_engine_matches_reference(config, 2, "warm", None, trace,
+                                            sim._SCALAR_TAIL_SETS, slice_length=slice_length)
+        # run_trace and trace_outcomes: one tail per slice, the hot set finished there
+        assert tail.call_count == 2 * slices
+
+    @pytest.mark.parametrize("kind", TRACE_KINDS)
+    def test_slices_change_nothing_but_the_stamps(self, kind):
+        config = DIFFERENTIAL_CONFIGS[2]  # 64 sets of 4 ways
+        trace = generate_trace(kind, 20_000, seed=15, address_bits=20, num_blocks=512,
+                               stride=4096)
+        states = [CacheState(config, 3) for _ in range(4)]
+        for state in states:
+            warm_fill(state)
+        stats, outcomes = run_trace(states[0], trace), trace_outcomes(states[1], trace)
+        with mock.patch.object(sim, "_TRACE_CHUNK", 1000):
+            assert run_trace(states[2], trace) == stats
+            assert trace_outcomes(states[3], trace) == outcomes
+        assert sum(outcomes) == stats.hits
+        assert all(all_contents(state) == all_contents(states[0]) for state in states[1:])
+
+    @pytest.mark.parametrize("engine", [run_trace, trace_outcomes])
+    @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
+    def test_stamps_the_last_slice_cannot_hold_are_refused_before_the_first(self, engine, tail):
+        # 4 ways: stamps below 2**61 fit.  Ten accesses to distinct tags in one set
+        # take ten stamps, up to 2**61 - 1 from a clock of 2**61 - 10, which ends at
+        # 2**61: in slices of three, only the fourth would overflow, after three
+        # slices changed the state.
+        trace = [addr(TINY, tag, 2) for tag in range(10)]
+        state = CacheState(TINY, k=3)
+        warm_fill(state)
+        state._clock = (1 << 61) - 10
+        before = state._tags.copy(), state._ages.copy()
+        with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail), \
+                mock.patch.object(sim, "_TRACE_CHUNK", 3):
+            with pytest.raises(ValueError, match="do not fit in int64"):
+                engine(state, trace)
+            assert np.array_equal(state._tags, before[0])
+            assert np.array_equal(state._ages, before[1])
+            assert state._clock == (1 << 61) - 10
+            engine(state, trace[:9])  # nine stamps fit
+        assert state._clock == (1 << 61) - 1
+
+    @pytest.mark.parametrize("engine", [run_trace, trace_outcomes])
+    def test_a_bad_address_in_the_last_slice_is_refused_before_the_first(self, engine):
+        state = CacheState(TINY, k=3)
+        run_trace(state, uniform_trace(300, seed=5, address_bits=16))
+        before = state._tags.copy(), state._ages.copy(), state._clock
+        trace = uniform_trace(10, seed=6, address_bits=16).tolist() + [1 << 16]
+        with mock.patch.object(sim, "_TRACE_CHUNK", 3):
+            with pytest.raises(ValueError, match="address 0x10000 outside the 16-bit space"):
+                engine(state, trace)
+        assert np.array_equal(state._tags, before[0])
+        assert np.array_equal(state._ages, before[1])
+        assert state._clock == before[2]
 
 
 class TestStampCodes:
@@ -739,12 +834,15 @@ class TestTraceContract:
     @pytest.mark.parametrize("taker", ["run_trace", "trace_outcomes", "invariance_check"])
     def test_the_callers_trace_is_never_written(self, taker):
         for chunk in CHUNK_LENGTHS:
-            trace = uniform_trace(chunk + 300, seed=7, address_bits=16)  # over one chunk
-            trace[100:110] = trace[99]  # a repeat run, so the fold drops accesses
-            before = trace.copy()
-            with mock.patch.object(sim, "_KEY_CHUNK", chunk):
-                TRACE_TAKERS[taker](CacheState(TINY, k=3), None, trace)
-            assert np.array_equal(trace, before)
+            # over one chunk; in slices of one chunk too, then the run crosses slices
+            for slice_length in (chunk, sim._TRACE_CHUNK):
+                trace = uniform_trace(chunk + 300, seed=7, address_bits=16)
+                trace[100:110] = trace[99]  # a repeat run, so the fold drops accesses
+                before = trace.copy()
+                with mock.patch.object(sim, "_KEY_CHUNK", chunk), \
+                        mock.patch.object(sim, "_TRACE_CHUNK", slice_length):
+                    TRACE_TAKERS[taker](CacheState(TINY, k=3), None, trace)
+                assert np.array_equal(trace, before)
 
     def test_a_uint64_array_is_not_copied(self):
         trace = uniform_trace(100, seed=1, address_bits=16)

@@ -189,6 +189,25 @@ class TestTextFormat:
         with pytest.raises(TraceParseError, match=f"^{re.escape(str(path))}: line 2: "):
             read_trace_text(path)
 
+    def test_peak_memory_is_two_copies_of_the_result(self, tmp_path):
+        # The decoded blocks are kept until they are joined, so at the end
+        # they and the result, 8 bytes per address each, coexist: 16.2 in
+        # all on the benchmark's 250k-line zipf trace.  One block's decoding
+        # arrays, about 0.6 MiB, stay below that on a file this long.
+        trace = zipf_block_trace(250_000, seed=0, exponent=1.2, num_blocks=1 << 20,
+                                 address_bits=40)
+        path = tmp_path / "t.trace"
+        write_trace_text(path, trace)
+        read_trace_text(path)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            read = read_trace_text(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read, trace)
+        assert peak / trace.size < 17
+
     def test_names_an_error_line_past_the_first_block(self, tmp_path):
         path = tmp_path / "t.trace"
         lines = [f"0x{a:x}" for a in range(3 * traces._TEXT_CHUNK // 4)]
