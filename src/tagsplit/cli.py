@@ -8,7 +8,10 @@ Subcommands:
   curves     normalized step-1/step-2/total cost curves over k
 
 Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 internal
-invariant violation.  Output rows are sorted by (cache_size,
+invariant violation.  A command computes and checks everything before
+it opens its output file, so a command that fails leaves no output and
+an existing file untouched; only an I/O error while writing can leave
+a partial file.  Output rows are sorted by (cache_size,
 associativity, address_bits, k).  CSV cells, and every "name: value"
 line of the analyze/simulate reports, print floats with 17 significant
 digits, and JSON lines writes their shortest round-trip repr, so
@@ -197,9 +200,9 @@ def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
     tails) of runs: dicts of consecutive columns passed through the
     format's encode.  Each tail ends one row of the block, and every row
     starts with the head, which is "" when the tails cover all columns.
-    A block holds at least one row and takes one write.  encoded_blocks is called before path is
-    opened, so an error it raises leaves no file behind; an error raised
-    while a block is produced leaves the blocks before it in the file.
+    A block holds at least one row and takes one write.  encoded_blocks is
+    called before path is opened and makes every check, so an error it
+    raises leaves no file behind; its blocks are then only written.
     """
     if output_format not in _RUN_FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
@@ -300,11 +303,11 @@ def evaluate_sweep(args, encode, params=None):
     with that pair.  The cost ratios are filled in when cost parameters
     are given.
 
-    args holds the parsed sweep flags.  The grid is validated, every
-    pair evaluated and every trace generated before this returns.  The
-    returned iterator then produces the blocks one at a time; with
-    args.simulate, each row is simulated and its tail encoded in row
-    order as its block is produced.
+    args holds the parsed sweep flags.  Before this returns, the grid is
+    validated, every pair evaluated and, with args.simulate, every trace
+    generated and every row simulated, checked and its tail encoded, in
+    row order.  The returned iterator then only encodes each grid
+    point's run, so producing the blocks raises nothing.
     """
     points = _grid_points(args.sizes, args.assocs, args.addr_bits, args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
@@ -314,14 +317,15 @@ def evaluate_sweep(args, encode, params=None):
         if pair not in pairs:
             tails = _split_runs(*pair, ks[config.tag_bits], params)
             pairs[pair] = tails if args.simulate else list(map(encode, tails))
-    traces = {}
+    blocks = (pairs[(config.tag_bits, config.associativity)] for config in points)
     if args.simulate:
-        for addr in sorted(set(args.addr_bits)):
-            traces[addr] = generate_trace(
-                args.trace_kind, args.trace_length, args.trace_seed,
-                address_bits=addr, block_size=args.block, stride=args.block,
-            )
-    return _sweep_blocks(points, pairs, traces, encode)
+        traces = {addr: generate_trace(args.trace_kind, args.trace_length, args.trace_seed,
+                                       address_bits=addr, block_size=args.block, stride=args.block)
+                  for addr in sorted(set(args.addr_bits))}
+        blocks = [[encode(_simulated_tail(config, tail, traces[config.address_bits])) for tail in tails]
+                  for config, tails in zip(points, blocks)]
+    return ((encode(_config_cells(config, _POINT_COLUMNS)), tails)
+            for config, tails in zip(points, blocks))
 
 
 def _sim_cells(observed: float | None, total_bits: float) -> dict:
@@ -346,15 +350,6 @@ def _simulated_tail(config: CacheConfig, tail: dict, trace) -> dict:
     # a fresh warm cache per row: rows of one grid point differ in k
     observed = _checked_run(CacheState(config, tail["k"]), trace, True).bits_per_access
     return {**tail, **_sim_cells(observed, tail["total_bits"])}
-
-
-def _sweep_blocks(points, pairs, traces, encode):
-    for config in points:
-        tails = pairs[(config.tag_bits, config.associativity)]
-        if traces:
-            trace = traces[config.address_bits]
-            tails = [encode(_simulated_tail(config, tail, trace)) for tail in tails]
-        yield encode(_config_cells(config, _POINT_COLUMNS)), tails
 
 
 def _parse_bool(text: str) -> bool:

@@ -79,6 +79,25 @@ def cell_ulp(text):
 ZERO_ENERGY = dict(energy_per_bit_read=0.0, fixed_energy_per_access=0.0, leakage_power=0.0)
 
 
+def fail_identity_on_call(monkeypatch, call: int) -> list:
+    """Make the call-th cli.run_trace result one access short in its survivor
+    histogram, a counter identity validate refuses; returns the k of each call."""
+    calls = []
+
+    def run(state, trace):
+        stats = real_run(state, trace)
+        calls.append(state.k)
+        if len(calls) == call:
+            histogram = list(stats.matched_way_histogram)
+            histogram[histogram.index(max(histogram))] -= 1
+            stats = dataclasses.replace(stats, matched_way_histogram=histogram)
+        return stats
+
+    real_run = cli.run_trace
+    monkeypatch.setattr(cli, "run_trace", run)
+    return calls
+
+
 class TestParsers:
     @pytest.mark.parametrize(
         "text,expected",
@@ -335,6 +354,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="unexpected sweep header"):
             read_sweep_csv(path)
 
+    def test_read_back_rejects_a_header_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(SWEEP_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match="no sweep rows") as info:
+            read_sweep_csv(path)
+        assert str(info.value) == f"{path}: no sweep rows"
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -479,20 +505,8 @@ class TestSweep:
         assert len(simulated) == 2 * 2 * 2 * 3
 
     def test_each_simulated_rows_counter_identities_are_checked(self, tmp_path, monkeypatch, capsys):
-        calls = []
-
-        def run(state, trace):
-            # the third row's, the second grid point's first, is one access short
-            stats = real_run(state, trace)
-            calls.append(state.k)
-            if len(calls) == 3:
-                histogram = list(stats.matched_way_histogram)
-                histogram[histogram.index(max(histogram))] -= 1
-                stats = dataclasses.replace(stats, matched_way_histogram=histogram)
-            return stats
-
-        real_run = cli.run_trace
-        monkeypatch.setattr(cli, "run_trace", run)
+        # the third row's, the second grid point's first, is one access short
+        calls = fail_identity_on_call(monkeypatch, 3)
         out = tmp_path / "sim.csv"
         args = ["sweep", "--sizes", "64K,256K", "--assocs", "4", "--addr-bits", "32",
                 "--k-range", "2:3", "--simulate", "--trace-length", "500", "--out", str(out)]
@@ -502,8 +516,9 @@ class TestSweep:
             "histogram sums to accesses\n"
         )
         assert calls == [2, 3, 2]
-        # the first grid point's rows stay in the file, after the header
-        assert len(out.read_text().splitlines()) == 3
+        # every row is checked before the file is opened, so the first grid
+        # point's rows, which passed, are not written either
+        assert not out.exists()
 
     def test_simulation_beyond_the_generators_address_width_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -817,6 +832,54 @@ class TestCurves:
         assert "invalid grid entries" in err
         assert "assoc=3 " in err and "assoc=5 " in err
         assert not out.exists()
+
+
+# a failing invocation of each command that writes a file, without its --out:
+# (arguments, output file name, run_trace call made to fail or None, exit
+# code, a fragment of the error)
+FAILING_WRITES = {
+    "sweep-simulate": (
+        ["sweep", "--sizes", "64K,256K", "--assocs", "4", "--addr-bits", "32",
+         "--k-range", "2:3", "--simulate", "--trace-length", "500"],
+        "out.csv", 3, 4, "histogram sums to accesses",
+    ),
+    "sweep": (
+        ["sweep", "--sizes", "1M", "--assocs", "8", "--addr-bits", "32,17"],
+        "out.csv", None, 2, "addr_bits=17 block=64: tag length not positive",
+    ),
+    "curves": (
+        ["curves", "--size", "8M", "--assocs", "4", "--addr-bits", "32", "--k-range", "1:12"],
+        "out.csv", None, 2, "exceeds the longest tag",
+    ),
+    "simulate": (
+        ["simulate", "--size", "64K", "--assoc", "4", "--addr-bits", "32",
+         "--gen", "uniform", "--length", "500"],
+        "out.csv", 1, 4, "histogram sums to accesses",
+    ),
+    "gen-trace": (
+        ["gen-trace", "--kind", "uniform", "--length", "0"],
+        "out.trace", None, 2, "trace length must be a positive integer",
+    ),
+}
+
+
+class TestOutputRule:
+    """A command computes and checks everything before it opens its output file."""
+
+    @pytest.mark.parametrize("before", [None, b"earlier bytes\n"], ids=["absent", "existing"])
+    @pytest.mark.parametrize("case", FAILING_WRITES)
+    def test_a_failing_command_leaves_the_output_path_as_it_was(
+        self, tmp_path, monkeypatch, capsys, case, before
+    ):
+        argv, name, failing_call, code, error = FAILING_WRITES[case]
+        if failing_call is not None:
+            fail_identity_on_call(monkeypatch, failing_call)
+        out = tmp_path / name
+        if before is not None:
+            out.write_bytes(before)
+        assert main([*argv, "--out", str(out)]) == code
+        assert error in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == before
 
 
 class TestEntryPoint:

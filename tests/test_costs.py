@@ -110,6 +110,10 @@ class TestReliability:
         assert reliability(0, PARAMS) == 1.0
         assert reliability(1e12, costs(p_read_disturb=0.0)) == 1.0
 
+    def test_rejects_negative_reads(self):
+        with pytest.raises(ValueError, match="bits_read must be >= 0, got -1.0"):
+            reliability(-1.0, PARAMS)
+
     def test_probability_domain(self):
         with pytest.raises(ValueError, match="p_read_disturb"):
             costs(p_read_disturb=1.0)

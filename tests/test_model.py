@@ -91,6 +91,10 @@ class TestBaselineAndProbability:
         with pytest.raises(ValueError):
             baseline_bits(0, 8)
 
+    def test_baseline_rejects_a_fractional_tag(self):
+        with pytest.raises(ValueError, match=r"tag_bits must be an integer, got 8\.5"):
+            baseline_bits(8.5, 2)
+
 
 class TestExpectedMatchedWays:
     def test_binomial_mean(self):
@@ -101,6 +105,14 @@ class TestExpectedMatchedWays:
     def test_zero_split_matches_every_way(self):
         for ways in POW2_WAYS:
             assert expected_matched_ways(ways, 0) == float(ways)
+
+    @pytest.mark.parametrize("ways,k,message", [
+        (0, 1, "ways must be >= 1, got 0"),
+        (8, -1, "k must be >= 0, got -1"),
+    ])
+    def test_rejects_out_of_domain_arguments(self, ways, k, message):
+        with pytest.raises(ValueError, match=message):
+            expected_matched_ways(ways, k)
 
     def test_single_way_is_exactly_the_probability(self):
         # the one-way sum collapses to a single Bernoulli term
@@ -197,6 +209,10 @@ class TestExpectedReads:
         with pytest.raises(ValueError):
             expected_reads(23, 8, k)
 
+    def test_rejects_zero_ways(self):
+        with pytest.raises(ValueError, match="tag_bits and ways must be >= 1, got 8, 0"):
+            expected_reads(8, 0, 1)
+
     @given(tag_bits=tag_bits_st, ways=ways_st, data=st.data())
     def test_closed_form_identity(self, tag_bits, ways, data):
         k = data.draw(st.integers(min_value=0, max_value=tag_bits))
@@ -224,6 +240,10 @@ class TestExpectedReads:
         assert continuous_total_bits(tag_bits, ways, k) == pytest.approx(
             expected_reads(tag_bits, ways, k).total_bits, rel=1e-12
         )
+
+    def test_continuous_relaxation_rejects_k_beyond_the_tag(self):
+        with pytest.raises(ValueError, match=r"k must be in \[0, 8\], got 9\.0"):
+            continuous_total_bits(8, 2, 9.0)
 
 
 class TestDerivatives:

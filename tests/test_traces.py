@@ -35,6 +35,14 @@ class TestGenerators:
     def test_stride_base_wraps_like_the_stride(self):
         assert np.array_equal(stride_trace(10, base=2**64 + 5), stride_trace(10, base=5))
 
+    @pytest.mark.parametrize("flags,message", [
+        ({"stride": 0}, "stride must be >= 1, got 0"),
+        ({"base": -1}, "base must be >= 0, got -1"),
+    ])
+    def test_stride_rejects_a_zero_stride_or_negative_base(self, flags, message):
+        with pytest.raises(ValueError, match=message):
+            stride_trace(10, **flags)
+
     def test_uniform_is_deterministic_per_seed(self):
         a = uniform_trace(1000, seed=42, address_bits=40)
         b = uniform_trace(1000, seed=42, address_bits=40)
@@ -124,6 +132,10 @@ class TestGenerators:
     def test_rejects_bad_zipf_exponent(self):
         with pytest.raises(ValueError, match="exponent"):
             zipf_block_trace(10, seed=0, exponent=0.0)
+
+    def test_rejects_an_empty_zipf_population(self):
+        with pytest.raises(ValueError, match="num_blocks and block_size must be >= 1"):
+            zipf_block_trace(10, 0, num_blocks=0)
 
     def test_rejects_oversized_footprint(self):
         with pytest.raises(ValueError, match="footprint"):
