@@ -17,6 +17,12 @@ line of the analyze/simulate reports, print floats with 17 significant
 digits, and JSON lines writes their shortest round-trip repr, so
 identical invocations produce byte-identical files.  A simulate report
 line named like an --out column prints that column's CSV cell.
+
+Every output file is written through one encoder per format
+(_encoder), which turns rows to text a column at a time.  A sweep
+encodes each (tag_bits, associativity) pair's rows once: the cells
+that all its splitting points share are encoded once, into the
+template its rows fill.
 """
 
 from __future__ import annotations
@@ -162,52 +168,75 @@ def format_value(value) -> str:
     return str(value)
 
 
-_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+def _json_cell(value) -> str:
+    """value as json.JSONEncoder writes it; inf and nan, which JSON lacks, as
+    their CSV cell text in quotes."""
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{format_value(value)}"'
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
-def _csv_run(cells: dict) -> str:
-    # cells are numbers, booleans, empties and config ids, none of which CSV quotes
-    return ",".join(map(format_value, cells.values()))
-
-
-def _json_run(cells: dict) -> str:
-    """Members of a JSON object; inf and nan, which JSON lacks, as their CSV cell text."""
-    try:
-        text = _STRICT_JSON.encode(cells)
-    except ValueError:
-        text = _STRICT_JSON.encode(
-            {
-                name: format_value(value)
-                if isinstance(value, float) and not math.isfinite(value)
-                else value
-                for name, value in cells.items()
-            }
-        )
-    return text[1:-1]
-
-
-# output format -> (encode a run, text between runs, line prefix, line suffix)
-_RUN_FORMATS = {
-    "csv": (_csv_run, ",", "", "\n"),
-    "json-lines": (_json_run, ", ", "{", "}\n"),
+# output format -> (a cell's text, a finite float's text, a column's label as
+# a format of its name, which is an identifier, so JSON quotes it as it is,
+# text between cells, line prefix, line suffix); no CSV cell is quoted, as
+# cells are numbers, booleans, empties and config ids
+_FORMATS = {
+    "csv": (format_value, "{:.17g}".format, "", ",", "", "\n"),
+    "json-lines": (_json_cell, float.__repr__, '"{}": ', ", ", "{", "}\n"),
 }
+
+
+def _texts(column: list, cell, float_text):
+    """The texts of a column's cells: one map call for a column all of int,
+    or all of finite float, and cell by cell for any other."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return map(float_text, column)
+    return map(cell, column)
+
+
+def _encoder(output_format: str):
+    """encode(run) -> the text of each row of run, in output_format.
+
+    A run maps consecutive columns to a list of one cell per row, or to
+    one cell that every row shares; it holds at least one list.  The
+    shared cells are encoded once, into a %s template of the run's
+    labels that each row fills with its texts, a column at a time.
+    """
+    cell, float_text, label, between = _FORMATS[output_format][:4]
+
+    def encode(run: dict) -> list[str]:
+        template = between.join(
+            label.format(name) + ("%s" if isinstance(value, list) else cell(value).replace("%", "%%"))
+            for name, value in run.items()
+        )
+        columns = (_texts(value, cell, float_text) for value in run.values() if isinstance(value, list))
+        return list(map(template.__mod__, zip(*columns)))
+
+    return encode
 
 
 def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
     """Stream blocks of rows to path, after a header line for CSV; returns the row count.
 
-    encoded_blocks(encode) returns the blocks.  A block is a pair (head,
-    tails) of runs: dicts of consecutive columns passed through the
-    format's encode.  Each tail ends one row of the block, and every row
-    starts with the head, which is "" when the tails cover all columns.
-    A block holds at least one row and takes one write.  encoded_blocks is
+    encoded_blocks(encode) returns the blocks, encode being the format's
+    _encoder.  A block is a pair (head, tails) of texts of consecutive
+    columns.  Each tail ends one row of the block, and every row starts
+    with the head, which is "" when the tails cover all columns.  A block
+    holds at least one row and takes one write.  encoded_blocks is
     called before path is opened and makes every check, so an error it
     raises leaves no file behind; its blocks are then only written.
     """
-    if output_format not in _RUN_FORMATS:
+    if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
-    encode, between, prefix, suffix = _RUN_FORMATS[output_format]
-    blocks = encoded_blocks(encode)
+    *_, between, prefix, suffix = _FORMATS[output_format]
+    blocks = encoded_blocks(_encoder(output_format))
     count = 0
     with open(path, "w", encoding="ascii", newline="") as fh:
         if output_format == "csv":
@@ -221,12 +250,9 @@ def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
 
 def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
     """Write rows, dicts holding every column, to path; returns the row count."""
-    return _write_lines(
-        path,
-        columns,
-        output_format,
-        lambda encode: (("", (encode({name: row[name] for name in columns}),)) for row in rows),
-    )
+    run = {name: [row[name] for row in rows] for name in columns}
+    return _write_lines(path, columns, output_format,
+                        lambda encode: [("", encode(run))] if rows else [])
 
 
 def _grid_points(sizes, assocs, addr_bits, block: int):
@@ -271,43 +297,43 @@ def _config_cells(config: CacheConfig, names) -> dict:
     return {name: getattr(config, name) for name in names}
 
 
-def _split_runs(tag_bits: int, ways: int, ks: range, params) -> list[dict]:
-    """The tail cells of one (tag_bits, ways) pair per k: the splitting point,
-    empty simulation cells, and the cost ratios when params are given."""
+def _split_runs(tag_bits: int, ways: int, ks: range, params) -> dict:
+    """The tail run of one (tag_bits, ways) pair over the splitting points ks.
+
+    It holds a list of one cell per k for the columns that vary with k:
+    the splitting point's and, when params are given, the cost ratios.
+    Every other cell (the optimum, the empty simulation and cost cells)
+    is the same for all k and held once.
+    """
     # every k is evaluated first, so a k beyond the tag is named before a
     # tag too short to have an optimum
     evs = [expected_reads(tag_bits, ways, k) for k in ks]
     opt = k_min_integer(tag_bits, ways)
-    optimum = (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)
-    base = baseline_bits(tag_bits, ways)
-    tails = []
-    for ev in evs:
-        costs = (None, None)
-        if params is not None:
-            costs = ratios_from_bits(ev.total_bits, base, 1, params)
-        cells = (ev.k, ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits,
-                 ev.reduction_ratio, *optimum, None, None, *costs)
-        tails.append(dict(zip(_TAIL_COLUMNS, cells)))
-    return tails
+    run = {name: [getattr(ev, name) for ev in evs] for name in _TAIL_COLUMNS[:5]}
+    run.update(zip(_TAIL_COLUMNS[5:8], (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)))
+    run.update(dict.fromkeys(_TAIL_COLUMNS[8:]))
+    if params is not None:
+        base = baseline_bits(tag_bits, ways)
+        costs = (ratios_from_bits(total, base, 1, params) for total in run["total_bits"])
+        run.update(zip(_TAIL_COLUMNS[10:], map(list, zip(*costs))))
+    return run
 
 
 def evaluate_sweep(args, encode, params=None):
     """Sweep rows sorted by (cache_size, associativity, address_bits, k), in blocks.
 
     Each grid point's rows make one block for _write_lines: the point's
-    run (its five SWEEP_COLUMNS passed through encode) and one tail run
-    per k, which holds the other columns (the splitting point, the
-    simulation and the cost ratios).  Without args.simulate a tail
-    depends only on (tag_bits, associativity, k), so it is built and
-    encoded once, and only its text is kept, shared by every grid point
-    with that pair.  The cost ratios are filled in when cost parameters
-    are given.
+    head (its five SWEEP_COLUMNS) and one tail per k, which holds the
+    other columns (the splitting point, the simulation and the cost
+    ratios).  Without args.simulate the tails depend only on (tag_bits,
+    associativity), so each pair's tails are encoded once, column by
+    column, and their texts shared by every grid point with that pair.
+    The cost ratios are filled in when cost parameters are given.
 
     args holds the parsed sweep flags.  Before this returns, the grid is
     validated, every pair evaluated and, with args.simulate, every trace
-    generated and every row simulated, checked and its tail encoded, in
-    row order.  The returned iterator then only encodes each grid
-    point's run, so producing the blocks raises nothing.
+    generated and every row simulated and checked, in row order; every
+    row is encoded, so writing the blocks raises nothing.
     """
     points = _grid_points(args.sizes, args.assocs, args.addr_bits, args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
@@ -315,17 +341,17 @@ def evaluate_sweep(args, encode, params=None):
     for config in points:
         pair = (config.tag_bits, config.associativity)
         if pair not in pairs:
-            tails = _split_runs(*pair, ks[config.tag_bits], params)
-            pairs[pair] = tails if args.simulate else list(map(encode, tails))
-    blocks = (pairs[(config.tag_bits, config.associativity)] for config in points)
+            run = _split_runs(*pair, ks[config.tag_bits], params)
+            pairs[pair] = run if args.simulate else encode(run)
+    blocks = [pairs[(config.tag_bits, config.associativity)] for config in points]
     if args.simulate:
         traces = {addr: generate_trace(args.trace_kind, args.trace_length, args.trace_seed,
                                        address_bits=addr, block_size=args.block, stride=args.block)
                   for addr in sorted(set(args.addr_bits))}
-        blocks = [[encode(_simulated_tail(config, tail, traces[config.address_bits])) for tail in tails]
-                  for config, tails in zip(points, blocks)]
-    return ((encode(_config_cells(config, _POINT_COLUMNS)), tails)
-            for config, tails in zip(points, blocks))
+        blocks = [encode(_simulated_run(config, run, traces[config.address_bits]))
+                  for config, run in zip(points, blocks)]
+    heads = encode({name: [getattr(config, name) for config in points] for name in _POINT_COLUMNS})
+    return zip(heads, blocks)
 
 
 def _sim_cells(observed: float | None, total_bits: float) -> dict:
@@ -345,11 +371,12 @@ def _checked_run(state: CacheState, trace, warm: bool):
     return stats
 
 
-def _simulated_tail(config: CacheConfig, tail: dict, trace) -> dict:
-    """tail with the simulation cells of its k on a fresh warm cache."""
+def _simulated_run(config: CacheConfig, run: dict, trace) -> dict:
+    """run, from _split_runs, with the simulation cells of each k, in k order."""
     # a fresh warm cache per row: rows of one grid point differ in k
-    observed = _checked_run(CacheState(config, tail["k"]), trace, True).bits_per_access
-    return {**tail, **_sim_cells(observed, tail["total_bits"])}
+    rows = [_sim_cells(_checked_run(CacheState(config, k), trace, True).bits_per_access, total)
+            for k, total in zip(run["k"], run["total_bits"])]
+    return {**run, **{name: [row[name] for row in rows] for name in _SIM_COLUMNS}}
 
 
 def _parse_bool(text: str) -> bool:
@@ -406,11 +433,11 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 config = CacheConfig(
                     row.address_bits, row.cache_size, row.block_size, row.associativity
                 )
-                [tail] = _split_runs(
-                    config.tag_bits, row.associativity, range(row.k, row.k + 1), None
-                )
+                run = _split_runs(config.tag_bits, row.associativity, range(row.k, row.k + 1), None)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            # the row's own cells: a one-row run's columns hold one cell each
+            tail = {name: value[0] if isinstance(value, list) else value for name, value in run.items()}
             total = tail["total_bits"]
             derived = {**_config_cells(config, _POINT_COLUMNS), **tail,
                        **_sim_cells(row.sim_bits_per_access, total)}
@@ -526,12 +553,8 @@ def cmd_simulate(args) -> int:
         "baseline_bits_per_access": base,
         "normalized_reads": observed / base,
     }
-    _print_report(run)
-    histogram = " ".join(
-        f"{s}:{count}" for s, count in enumerate(stats.matched_way_histogram) if count
-    )
-    print(f"survivor_histogram: {histogram}")
-    print("note: baseline is the same trace under a single-step comparison (k = n)")
+    # the costs are computed before the first report line, so a run they
+    # refuse prints nothing
     costs = {}
     if params is not None:
         energy_ratio, mttf_ratio = ratios_from_bits(
@@ -544,6 +567,13 @@ def cmd_simulate(args) -> int:
             "mttf_seconds": mttf_from_bits(stats.total_bit_reads, params),
             "mttf_ratio": mttf_ratio,
         }
+    _print_report(run)
+    histogram = " ".join(
+        f"{s}:{count}" for s, count in enumerate(stats.matched_way_histogram) if count
+    )
+    print(f"survivor_histogram: {histogram}")
+    print("note: baseline is the same trace under a single-step comparison (k = n)")
+    if costs:
         _print_report(costs)
         print(
             "note: reliability counts read disturbance only (independent per bit); "

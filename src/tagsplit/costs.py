@@ -71,16 +71,18 @@ PARAM_KEYS = tuple(f.name for f in fields(CostParams))
 
 
 def tag_energy(bits_read: float, accesses: int, params: CostParams) -> float:
-    """Total tag-array read energy for a run."""
+    """Total tag-array read energy for a run; one too large for a float,
+    which no ratio could divide, is a ValueError naming the bit count."""
     if not bits_read >= 0.0:
         raise ValueError(f"bits_read must be >= 0, got {bits_read!r}")
     if not accesses >= 0:
         raise ValueError(f"accesses must be >= 0, got {accesses!r}")
-    return (
-        bits_read * params.energy_per_bit_read
-        + accesses * params.fixed_energy_per_access
-        + params.leakage_power * params.execution_time
-    )
+    energy = (bits_read * params.energy_per_bit_read + accesses * params.fixed_energy_per_access
+              + params.leakage_power * params.execution_time)
+    if not math.isfinite(energy):
+        raise ValueError(f"the tag energy of {bits_read!r} bit reads over {accesses!r} accesses "
+                         "overflows a float; the cost parameters are too large")
+    return energy
 
 
 def reliability(bits_read: float, params: CostParams) -> float:

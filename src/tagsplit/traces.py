@@ -270,24 +270,30 @@ def _block_words(block: bytes, path, first_line: int) -> np.ndarray:
 def read_trace_text(path) -> np.ndarray:
     """The addresses of a text trace (see README "Text traces").
 
-    The file is read in blocks of _TEXT_CHUNK bytes, and each block's
-    addresses are kept until the last block is read and all are joined
-    into the result, so the peak is two copies of the result: about 16
-    bytes per address (tracemalloc: 16.2 on a 250k-line trace).  On a
-    short file one block's decoding arrays set the peak instead: about
-    0.6 MiB for lines of 11 characters, so 47 bytes per address at 20k.
+    The file is read twice in blocks of _TEXT_CHUNK characters: once to
+    count its lines, which sizes the result array, and once to decode
+    each block's addresses into it.  The array is then trimmed to the
+    addresses found, so the peak is the result, 8 bytes per address,
+    and one block's decoding arrays beside it, about 0.85 MiB for lines
+    of 11 characters (tracemalloc: 8.9 bytes per address at 10^6 lines,
+    53 at 20k).  Shorter lines put more addresses in a block: 1.7 MiB on
+    the benchmark's 250k-line zipf trace, 14.9 bytes per address.
     Malformed input raises TraceParseError naming the path and line.
     """
-    parts = []
-    lines = 0
     # latin-1 reads every byte as one character; \r\n and a lone \r end a line too
     with open(path, "r", encoding="latin-1", newline=None) as fh:
+        size = sum(text.count("\n") for text in iter(lambda: fh.read(_TEXT_CHUNK), "")) + 1
+        fh.seek(0)
+        trace, found, lines = np.empty(size, dtype=np.uint64), 0, 0
         for block in _line_blocks(fh):
-            parts.append(_block_words(block, path, lines + 1))
-            lines += block.count(b"\n")
-    trace = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    if not trace.size:
+            words = _block_words(block, path, lines + 1)
+            if found + words.size > size:
+                raise TraceParseError(f"{path}: the file grew while read")
+            trace[found : found + words.size] = words
+            found, lines = found + words.size, lines + block.count(b"\n")
+    if not found:
         raise TraceParseError(f"{path}: no addresses found")
+    trace.resize(found, refcheck=False)  # nothing else refers to trace
     return trace
 
 

@@ -10,7 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tagsplit import cli
 from tagsplit.costs import load_params, mttf_from_bits
@@ -203,6 +205,87 @@ class TestParsers:
         with pytest.raises(ValueError, match="output format"):
             write_rows(tmp_path / "x", ("a",), [{"a": 1}], "xml")
         assert not (tmp_path / "x").exists()
+
+
+STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def json_reference(value) -> str:
+    """A cell as the json module writes it; inf and nan, which JSON lacks,
+    as their CSV cell text in quotes."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return STRICT_JSON.encode(format_value(value))
+    return STRICT_JSON.encode(value)
+
+
+# output format -> a cell's reference text
+REFERENCES = {"csv": format_value, "json-lines": json_reference}
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, math.inf, -math.inf, math.nan]
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63)),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.text(),
+)
+# columns of one kind take the one-map path; any other column goes cell by cell
+COLUMNS = st.one_of(
+    st.lists(CELLS, min_size=1),
+    st.lists(st.integers(), min_size=1),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    st.lists(st.floats(), min_size=1),
+)
+
+
+class TestCellEncoder:
+    """The sweep's column encoder against the json module and format_value."""
+
+    @given(cell=CELLS)
+    def test_a_cell_matches_the_reference(self, cell):
+        for output_format, reference in REFERENCES.items():
+            cell_text, float_text = cli._FORMATS[output_format][:2]
+            assert cell_text(cell) == reference(cell)
+            if type(cell) is float and math.isfinite(cell):
+                assert float_text(cell) == reference(cell)
+
+    @given(column=COLUMNS)
+    def test_a_column_matches_the_reference(self, column):
+        for output_format, reference in REFERENCES.items():
+            cell, float_text = cli._FORMATS[output_format][:2]
+            assert list(cli._texts(column, cell, float_text)) == list(map(reference, column))
+
+    @given(column=COLUMNS, shared=CELLS)
+    def test_a_run_matches_the_reference(self, column, shared):
+        # a shared cell is encoded once into the row template, a % in it too
+        run = {"a": column, "b": shared, "c": "%d%%", "d": column}
+        rows = [(a, shared, "%d%%", a) for a in column]
+        assert cli._encoder("csv")(run) == [",".join(map(format_value, row)) for row in rows]
+        assert cli._encoder("json-lines")(run) == [
+            ", ".join(f'"{name}": {json_reference(value)}' for name, value in zip(run, row))
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1, 2.5], [0.5, None], [1.0, math.inf], [math.nan, 2.0], [np.float64(0.5), 0.25],
+         [True, 1], [2**64, "x"]],
+    )
+    def test_a_mixed_column_goes_cell_by_cell(self, column):
+        for output_format, reference in REFERENCES.items():
+            cell, float_text = cli._FORMATS[output_format][:2]
+            seen = []
+
+            def spy(value):
+                seen.append(value)
+                return cell(value)
+
+            assert list(cli._texts(column, spy, float_text)) == list(map(reference, column))
+            assert seen == column
 
 
 class TestAnalyze:

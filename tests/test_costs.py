@@ -68,6 +68,22 @@ class TestEnergy:
         with pytest.raises(ValueError):
             tag_energy(bits, accesses, PARAMS)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(energy_per_bit_read=1e306), dict(fixed_energy_per_access=1e306),
+         dict(leakage_power=1e300, execution_time=1e10)],
+    )
+    def test_an_energy_beyond_a_float_is_refused(self, changes):
+        # finite constants whose run energy is not: a ratio over it would read 0 or nan
+        params = costs(**changes)
+        with pytest.raises(ValueError, match="energy of 200 bit reads over 300 accesses overflows"):
+            tag_energy(200, 300, params)
+        with pytest.raises(ValueError, match="bit reads over 300 accesses overflows"):
+            ratios_from_bits(100, 400, 300, params)
+
+    def test_an_energy_just_inside_a_float_is_kept(self):
+        assert tag_energy(100, 0, costs(energy_per_bit_read=1e306)) == 100 * 1e306
+
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError, match="energy_per_bit_read"):
             costs(energy_per_bit_read=-1.0)

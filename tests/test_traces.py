@@ -201,13 +201,19 @@ class TestTextFormat:
         with pytest.raises(TraceParseError, match=f"^{re.escape(str(path))}: line 2: "):
             read_trace_text(path)
 
-    def test_peak_memory_is_two_copies_of_the_result(self, tmp_path):
-        # The decoded blocks are kept until they are joined, so at the end
-        # they and the result, 8 bytes per address each, coexist: 16.2 in
-        # all on the benchmark's 250k-line zipf trace.  One block's decoding
-        # arrays, about 0.6 MiB, stay below that on a file this long.
-        trace = zipf_block_trace(250_000, seed=0, exponent=1.2, num_blocks=1 << 20,
-                                 address_bits=40)
+    @pytest.mark.parametrize(
+        "kind,length,bound",
+        # where keeping every block until a join read 16.1 and 16.2
+        [("uniform", 1_000_000, 9), ("zipf-block", 250_000, 16)],
+    )
+    def test_peak_memory_is_the_result_and_one_block(self, tmp_path, kind, length, bound):
+        # Each block decodes into the result, sized by a first pass that
+        # counts the lines, so no second copy is held: 8 bytes per address
+        # plus one block's decoding arrays, about 0.85 MiB at 11 characters
+        # a line (8.9 in all at 10^6 lines) and 1.7 MiB for the zipf
+        # trace's shorter lines (14.9 in all).
+        trace = generate_trace(kind, length, seed=1 if kind == "uniform" else 0,
+                               num_blocks=1 << 20)
         path = tmp_path / "t.trace"
         write_trace_text(path, trace)
         read_trace_text(path)  # warm-up: first-call allocations
@@ -218,7 +224,21 @@ class TestTextFormat:
         finally:
             tracemalloc.stop()
         assert np.array_equal(read, trace)
-        assert peak / trace.size < 17
+        assert read.base is None and read.size == trace.size
+        assert peak / trace.size < bound
+
+    def test_a_file_that_grows_between_the_passes_is_refused(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("1\n2\n")
+        real_blocks = traces._line_blocks
+
+        def growing_blocks(fh):
+            path.write_text("1\n2\n3\n4\n")
+            return real_blocks(fh)
+
+        with mock.patch.object(traces, "_line_blocks", growing_blocks):
+            with pytest.raises(TraceParseError, match="grew while read"):
+                read_trace_text(path)
 
     def test_names_an_error_line_past_the_first_block(self, tmp_path):
         path = tmp_path / "t.trace"
