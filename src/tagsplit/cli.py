@@ -34,8 +34,8 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .costs import load_params, mttf_from_bits, ratios_from_bits, reliability, tag_energy
-from .model import CacheConfig, baseline_bits, expected_reads
+from .costs import load_params, mttf_from_bits, ratio_columns, ratios_from_bits, reliability, tag_energy
+from .model import CacheConfig, baseline_bits, expected_reads, split_columns
 from .optimum import k_min_integer
 from .sim import CacheState, run_trace, warm_fill
 from .traces import (
@@ -301,21 +301,20 @@ def _split_runs(tag_bits: int, ways: int, ks: range, params) -> dict:
     """The tail run of one (tag_bits, ways) pair over the splitting points ks.
 
     It holds a list of one cell per k for the columns that vary with k:
-    the splitting point's and, when params are given, the cost ratios.
-    Every other cell (the optimum, the empty simulation and cost cells)
-    is the same for all k and held once.
+    the splitting point's, from one split_columns call, and, when params
+    are given, the cost ratios, from one ratio_columns call.  Every other
+    cell (the optimum, the empty simulation and cost cells) is the same
+    for all k and held once.
     """
     # every k is evaluated first, so a k beyond the tag is named before a
     # tag too short to have an optimum
-    evs = [expected_reads(tag_bits, ways, k) for k in ks]
+    run = split_columns(tag_bits, ways, ks)
     opt = k_min_integer(tag_bits, ways)
-    run = {name: [getattr(ev, name) for ev in evs] for name in _TAIL_COLUMNS[:5]}
     run.update(zip(_TAIL_COLUMNS[5:8], (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)))
     run.update(dict.fromkeys(_TAIL_COLUMNS[8:]))
     if params is not None:
-        base = baseline_bits(tag_bits, ways)
-        costs = (ratios_from_bits(total, base, 1, params) for total in run["total_bits"])
-        run.update(zip(_TAIL_COLUMNS[10:], map(list, zip(*costs))))
+        costs = ratio_columns(run["total_bits"], baseline_bits(tag_bits, ways), 1, params)
+        run.update(zip(_TAIL_COLUMNS[10:], costs))
     return run
 
 
@@ -325,10 +324,12 @@ def evaluate_sweep(args, encode, params=None):
     Each grid point's rows make one block for _write_lines: the point's
     head (its five SWEEP_COLUMNS) and one tail per k, which holds the
     other columns (the splitting point, the simulation and the cost
-    ratios).  Without args.simulate the tails depend only on (tag_bits,
-    associativity), so each pair's tails are encoded once, column by
-    column, and their texts shared by every grid point with that pair.
-    The cost ratios are filled in when cost parameters are given.
+    ratios).  The tails depend only on (tag_bits, associativity), so each
+    pair is evaluated once, as columns over its splitting points
+    (_split_runs); without args.simulate its tails are also encoded
+    once, column by column, and their texts shared by every grid point
+    with that pair.  The cost ratios are filled in when cost parameters
+    are given.
 
     args holds the parsed sweep flags.  Before this returns, the grid is
     validated, every pair evaluated and, with args.simulate, every trace
@@ -599,24 +600,28 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
+def _curve_run(config: CacheConfig, ks: range) -> dict:
+    """The curves run of one grid point: its cells, held once, and the
+    step-1, step-2 and total bits of one split_columns call, each over
+    the baseline, a list of one cell per k."""
+    n, assoc = config.tag_bits, config.associativity
+    base = baseline_bits(n, assoc)
+    split = split_columns(n, assoc, ks)
+    steps = (split[name] for name in ("first_step_bits", "expected_second_step_bits", "total_bits"))
+    return {
+        "config_id": f"{format_size(config.cache_size)}-{assoc}w-{config.address_bits}b",
+        **_config_cells(config, _POINT_COLUMNS),
+        "k": split["k"],
+        **{name: [bits / base for bits in step] for name, step in zip(CURVE_COLUMNS[7:], steps)},
+    }
+
+
 def cmd_curves(args) -> int:
     points = _grid_points((args.size,), args.assocs, (args.addr_bits,), args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
-    rows = []
-    for config in points:
-        n, assoc = config.tag_bits, config.associativity
-        base = baseline_bits(n, assoc)
-        head = {
-            "config_id": f"{format_size(config.cache_size)}-{assoc}w-{config.address_bits}b",
-            **_config_cells(config, _POINT_COLUMNS),
-        }
-        for k in ks[n]:
-            ev = expected_reads(n, assoc, k)
-            bits = (ev.first_step_bits, ev.expected_second_step_bits, ev.total_bits)
-            normalized = dict(zip(CURVE_COLUMNS[7:], (b / base for b in bits)))
-            rows.append({**head, "k": k, **normalized})
-    write_rows(args.out, CURVE_COLUMNS, rows, args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    count = _write_lines(args.out, CURVE_COLUMNS, args.format, lambda encode: [
+        ("", encode(_curve_run(config, ks[config.tag_bits]))) for config in points])
+    print(f"wrote {count} rows to {args.out}")
     return 0
 
 

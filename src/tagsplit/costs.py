@@ -26,6 +26,7 @@ __all__ = [
     "reliability",
     "mttf_from_bits",
     "ratios_from_bits",
+    "ratio_columns",
     "load_params",
 ]
 
@@ -114,18 +115,32 @@ def ratios_from_bits(
     split_bits: float, base_bits: float, accesses: int, params: CostParams
 ) -> tuple[float, float]:
     """(energy_ratio, mttf_ratio) of a run that read split_bits tag bits
-    against one that read base_bits, both over the same accesses.
+    against one that read base_bits, both over the same accesses: the
+    one-run case of ratio_columns.
+    """
+    energy_ratios, mttf_ratios = ratio_columns((split_bits,), base_bits, accesses, params)
+    return energy_ratios[0], mttf_ratios[0]
+
+
+def ratio_columns(
+    split_bits, base_bits: float, accesses: int, params: CostParams
+) -> tuple[list[float], list[float]]:
+    """The energy_ratio and mttf_ratio columns of runs that read split_bits
+    tag bits each, against one that read base_bits, all over the same accesses.
 
     The failure rate is linear in bits read (per-bit-independent
     disturbance), so the per-bit factor cancels and the MTTF ratio is
     the exact bit-read ratio; computing it that way avoids collapsing
     reliabilities of order 1 - 1e-12 into doubles.  A run that read no
     bits never fails, so its ratio is infinite, as in mttf_from_bits.
+    The baseline's energy is computed once, right after the first run's,
+    so the columns fail where ratios_from_bits, run by run, would first fail.
     """
-    energy_ratio = tag_energy(split_bits, accesses, params) / tag_energy(
-        base_bits, accesses, params
-    )
-    return energy_ratio, math.inf if split_bits == 0 else base_bits / split_bits
+    energies = [tag_energy(bits, accesses, params) for bits in split_bits[:1]]
+    base_energy = tag_energy(base_bits, accesses, params)
+    energy_ratios = [energy / base_energy for energy in energies]
+    energy_ratios += [tag_energy(bits, accesses, params) / base_energy for bits in split_bits[1:]]
+    return energy_ratios, [math.inf if bits == 0 else base_bits / bits for bits in split_bits]
 
 
 def load_params(path) -> CostParams:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 LN2 = math.log(2.0)
@@ -28,6 +28,7 @@ __all__ = [
     "baseline_bits",
     "expected_matched_ways",
     "expected_reads",
+    "split_columns",
     "continuous_total_bits",
     "first_derivative",
     "second_derivative",
@@ -110,6 +111,9 @@ class SplitEval:
     reduction_ratio: float
 
 
+_SPLIT_FIELDS = tuple(f.name for f in fields(SplitEval))
+
+
 def baseline_bits(tag_bits: int, ways: int) -> int:
     """Bits read per access by a conventional single-step comparison."""
     tag_bits = _check_int("tag_bits", tag_bits)
@@ -166,23 +170,30 @@ def expected_reads(tag_bits: int, ways: int, k: int) -> SplitEval:
 
     k = 0 and k = tag_bits both degenerate to the single-step baseline:
     the first reads everything in step 2, the second reads everything
-    in step 1.
+    in step 1.  The one-k case of split_columns.
+    """
+    return SplitEval(*(column[0] for column in split_columns(tag_bits, ways, (k,)).values()))
+
+
+def split_columns(tag_bits: int, ways: int, ks) -> dict[str, list]:
+    """expected_reads at each splitting point of ks, as columns.
+
+    Maps each SplitEval field, in field order, to a list of one value
+    per k, which is what expected_reads(tag_bits, ways, k) holds.
+    tag_bits and ways are checked once, and every k before any cost is
+    computed, so the first k beyond the tag is the one named.
     """
     tag_bits = _check_int("tag_bits", tag_bits)
     ways = _check_int("ways", ways)
     if tag_bits < 1 or ways < 1:
         raise ValueError(f"tag_bits and ways must be >= 1, got {tag_bits}, {ways}")
-    k = _splitting_point(k, tag_bits)
-    first = k * ways
-    second = (tag_bits - k) * _binomial_mean_matches(ways, k)
-    total = first + second
-    return SplitEval(
-        k=k,
-        first_step_bits=first,
-        expected_second_step_bits=second,
-        total_bits=total,
-        reduction_ratio=total / (tag_bits * ways),
-    )
+    ks = [_splitting_point(k, tag_bits) for k in ks]
+    firsts = [k * ways for k in ks]
+    seconds = [(tag_bits - k) * _binomial_mean_matches(ways, k) for k in ks]
+    totals = [first + second for first, second in zip(firsts, seconds)]
+    base = tag_bits * ways
+    ratios = [total / base for total in totals]
+    return dict(zip(_SPLIT_FIELDS, (ks, firsts, seconds, totals, ratios)))
 
 
 def continuous_total_bits(tag_bits: int, ways: int, k: float) -> float:

@@ -467,6 +467,21 @@ class TestSweep:
             read_sweep_csv(out)
         assert str(info.value).startswith(f"{out}, line 3{message}")
 
+    def test_read_back_names_a_k_beyond_a_one_bit_tag_before_its_optimum(self, tmp_path):
+        # a 1-bit tag has no optimum; the row's k beyond the tag is named first
+        row = {**dict.fromkeys(SWEEP_COLUMNS, ""), "cache_size": "262144", "associativity": "8",
+               "address_bits": "16", "block_size": "64", "tag_bits": "1", "k": "5",
+               "first_step_bits": "40", "expected_second_step_bits": "0.0",
+               "total_bits": "40.0", "reduction_ratio": "5.0", "k_optimal": "1.0",
+               "k_min": "1", "is_round_of_continuous": "true"}
+        path = tmp_path / "one-bit.csv"
+        path.write_text(",".join(SWEEP_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_sweep_csv(path)
+        assert str(info.value) == (
+            f"{path}, line 2: splitting point k must be an integer in [0, 1], got 5"
+        )
+
     def test_read_back_names_the_line_and_column_of_a_non_ascii_byte(self, tmp_path):
         out = self.run(tmp_path)
         lines = out.read_bytes().split(b"\n")
@@ -547,12 +562,12 @@ class TestSweep:
         # 256K at 42 address bits and 1M at 44 share every (tag_bits, ways) pair
         calls = collections.Counter()
 
-        def counting(tag_bits, ways, k):
-            calls[(tag_bits, ways, k)] += 1
-            return model_expected_reads(tag_bits, ways, k)
+        def counting(tag_bits, ways, ks):
+            calls[(tag_bits, ways, tuple(ks))] += 1
+            return model_split_columns(tag_bits, ways, ks)
 
-        model_expected_reads = cli.expected_reads
-        monkeypatch.setattr(cli, "expected_reads", counting)
+        model_split_columns = cli.split_columns
+        monkeypatch.setattr(cli, "split_columns", counting)
         out = tmp_path / "out.csv"
         args = ["sweep", "--sizes", "256K,1M", "--assocs", "4,8", "--addr-bits", "42,44",
                 "--k-range", "1:6", "--params", params_file(tmp_path), "--out", str(out)]
@@ -560,10 +575,11 @@ class TestSweep:
         sweep_calls = calls.copy()  # read_sweep_csv re-evaluates every row
         rows = read_sweep_csv(out)
         assert len(rows) == 2 * 2 * 2 * 6
+        # one column call per pair, holding the pair's whole k range
         assert sweep_calls == collections.Counter(
-            {(row.tag_bits, row.associativity, row.k): 1 for row in rows}
+            {(row.tag_bits, row.associativity, tuple(range(1, 7))): 1 for row in rows}
         )
-        assert len(sweep_calls) == 3 * 2 * 6
+        assert len(sweep_calls) == 3 * 2
 
     def test_simulation_generates_one_trace_per_address_width(self, tmp_path, monkeypatch):
         generated, simulated = [], []
@@ -885,6 +901,22 @@ class TestCurves:
             assert float(row["step1_normalized"]) == pytest.approx(k / n, rel=1e-12)
             total = float(row["step1_normalized"]) + float(row["step2_normalized"])
             assert float(row["total_normalized"]) == pytest.approx(total, rel=1e-12)
+
+    def test_each_curve_is_evaluated_in_one_column_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(tag_bits, ways, ks):
+            calls.append((tag_bits, ways, tuple(ks)))
+            return model_split_columns(tag_bits, ways, ks)
+
+        model_split_columns = cli.split_columns
+        monkeypatch.setattr(cli, "split_columns", counting)
+        monkeypatch.setattr(cli, "expected_reads", None)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--size", "1M", "--assocs", "4,8", "--addr-bits", "40",
+                     "--k-range", "0:22", "--out", str(out)]) == 0
+        # 1M at 40 address bits leaves 22 tag bits at 4 ways and 23 at 8
+        assert calls == [(22, 4, tuple(range(23))), (23, 8, tuple(range(23)))]
 
     def test_k_range_beyond_every_tag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

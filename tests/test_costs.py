@@ -4,13 +4,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tagsplit import costs as costs_module
 from tagsplit.costs import (
     PARAM_KEYS,
     CostParams,
     load_params,
     mttf_from_bits,
+    ratio_columns,
     ratios_from_bits,
     reliability,
     tag_energy,
@@ -221,6 +223,87 @@ class TestNormalizedMetrics:
         k = data.draw(st.integers(0, tag_bits))
         energy_ratio, mttf_ratio = expected_ratios(tag_bits, ways, k)
         assert energy_ratio * mttf_ratio == pytest.approx(1.0, abs=1e-9)
+
+
+def exact(value):
+    """value's type and, for a float, its hex, which tells -0.0 from 0.0."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def refusal(call, *args):
+    """call(*args), or the type and message of the error it raises: a ValueError,
+    or a ZeroDivisionError where the baseline's energy is 0 (no bits, no accesses)."""
+    try:
+        return call(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# energy constants from zero to beyond a float's range once multiplied out
+energy_st = st.sampled_from([0.0, 1e-300, 2.7e-12, 1.0, 1e300, 1e306, 1.7e308])
+bits_st = st.one_of(st.floats(-1.0, 1e300), st.sampled_from([0, 1, 184, math.inf, math.nan]))
+
+
+class TestRatioColumns:
+    @given(
+        split_bits=st.lists(bits_st, min_size=1, max_size=6),
+        base_bits=bits_st,
+        accesses=st.sampled_from([-1, 0, 1, 300, 10 ** 6]),
+        constants=st.tuples(energy_st, energy_st, energy_st),
+        execution_time=st.sampled_from([1e-300, 0.75, 1e10]),
+    )
+    @settings(max_examples=400)
+    def test_columns_are_ratios_from_bits_cell_by_cell(
+        self, split_bits, base_bits, accesses, constants, execution_time
+    ):
+        if constants[2] * execution_time == 0.0 == constants[0] == constants[1]:
+            return  # a parameter set CostParams refuses
+        params = CostParams(*constants, execution_time, 1e-12)
+        columns = refusal(ratio_columns, split_bits, base_bits, accesses, params)
+        cells = []
+        for bits in split_bits:
+            cell = refusal(ratios_from_bits, bits, base_bits, accesses, params)
+            if isinstance(cell, str):  # the first refused cell names the column's refusal
+                assert columns == cell
+                return
+            cells.append(cell)
+            # the one-cell case against the formula written out
+            energy = tag_energy(bits, accesses, params) / tag_energy(base_bits, accesses, params)
+            want = (energy, math.inf if bits == 0 else base_bits / bits)
+            assert list(map(exact, cell)) == list(map(exact, want))
+        assert [list(map(exact, column)) for column in columns] == [
+            list(map(exact, column)) for column in zip(*cells)
+        ]
+
+    @pytest.mark.parametrize(
+        "split_bits, base_bits, refused",
+        [([100, 120, 250], 150, 250), ([100, 120, 250], 400, 400), ([500, 120], 400, 500)],
+        ids=["a-later-run", "the-baseline", "the-first-run"],
+    )
+    def test_an_overflowing_energy_names_what_ratios_from_bits_names(
+        self, split_bits, base_bits, refused
+    ):
+        # at 1e306 J per bit read, up to 179 bits stay within a float;
+        # the baseline's energy comes after the first run's, as run by run
+        params = costs(energy_per_bit_read=1e306)
+        with pytest.raises(ValueError) as info:
+            ratio_columns(split_bits, base_bits, 1, params)
+        assert str(info.value) == (
+            f"the tag energy of {refused} bit reads over 1 accesses overflows a float; "
+            "the cost parameters are too large"
+        )
+
+    def test_the_baseline_energy_is_computed_once(self, monkeypatch):
+        energies = []
+
+        def counting(bits, accesses, params):
+            energies.append(bits)
+            return model_tag_energy(bits, accesses, params)
+
+        model_tag_energy = costs_module.tag_energy
+        monkeypatch.setattr(costs_module, "tag_energy", counting)
+        ratio_columns([32.5, 41.5, 60.0], 184, 1, PARAMS)
+        assert energies == [32.5, 184, 41.5, 60.0]
 
 
 class TestParamFile:

@@ -1,5 +1,6 @@
 """Closed-form cost model: geometry, expectations, derivatives."""
 
+import dataclasses
 import math
 import sys
 import time
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tagsplit.model import (
     CacheConfig,
+    SplitEval,
     _binomial_mean_matches,
     baseline_bits,
     continuous_total_bits,
@@ -17,6 +19,7 @@ from tagsplit.model import (
     expected_reads,
     first_derivative,
     second_derivative,
+    split_columns,
 )
 
 KB = 1024
@@ -244,6 +247,65 @@ class TestExpectedReads:
     def test_continuous_relaxation_rejects_k_beyond_the_tag(self):
         with pytest.raises(ValueError, match=r"k must be in \[0, 8\], got 9\.0"):
             continuous_total_bits(8, 2, 9.0)
+
+
+def exact(value):
+    """value's type and, for a float, its hex, which tells -0.0 from 0.0."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def reference_split(tag_bits: int, ways: int, k: int) -> tuple:
+    """The SplitEval fields of splitting point k, written out term by term."""
+    first = k * ways
+    second = (tag_bits - k) * expected_matched_ways(ways, k)
+    total = first + second
+    return k, first, second, total, total / (tag_bits * ways)
+
+
+def raised(call, *args) -> str | None:
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSplitColumns:
+    @given(tag_bits=st.integers(1, 128), ways=st.sampled_from([2 ** i for i in range(12)]),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_columns_are_expected_reads_at_each_k(self, tag_bits, ways, data):
+        # any sub-range of [0, tag_bits], the empty one too
+        low = data.draw(st.integers(0, tag_bits), label="low")
+        high = data.draw(st.integers(low - 1, tag_bits), label="high")
+        ks = range(low, high + 1)
+        columns = split_columns(tag_bits, ways, ks)
+        assert list(columns) == [field.name for field in dataclasses.fields(SplitEval)]
+        assert all(len(column) == len(ks) for column in columns.values())
+        for k, row in zip(ks, zip(*columns.values())):
+            ev = expected_reads(tag_bits, ways, k)
+            want = list(map(exact, dataclasses.astuple(ev)))
+            assert list(map(exact, row)) == want
+            assert list(map(exact, reference_split(tag_bits, ways, k))) == want
+
+    @given(tag_bits=st.integers(1, 40), ways=st.sampled_from([0, 1, 8, 2048]), data=st.data())
+    def test_a_refused_column_names_what_expected_reads_names_first(self, tag_bits, ways, data):
+        ks = data.draw(st.lists(st.integers(-3, tag_bits + 3), min_size=1, max_size=8))
+        message = raised(split_columns, tag_bits, ways, ks)
+        first = next(filter(None, (raised(expected_reads, tag_bits, ways, k) for k in ks)), None)
+        assert message == first
+        if ways == 0:
+            assert message == f"tag_bits and ways must be >= 1, got {tag_bits}, 0"
+
+    def test_the_first_k_beyond_the_tag_is_named(self):
+        with pytest.raises(ValueError) as info:
+            split_columns(23, 8, [4, 25, -1, 24])
+        assert str(info.value) == "splitting point k must be an integer in [0, 23], got 25"
+
+    def test_ways_are_checked_before_any_k(self):
+        with pytest.raises(ValueError) as info:
+            split_columns(8, 0, [99])
+        assert str(info.value) == "tag_bits and ways must be >= 1, got 8, 0"
 
 
 class TestDerivatives:
