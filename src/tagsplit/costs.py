@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from .model import _check_int, _check_real
+
 __all__ = [
     "CostParams",
     "PARAM_KEYS",
@@ -43,18 +45,14 @@ class CostParams:
     p_read_disturb: float
 
     def __post_init__(self):
-        for name in PARAM_KEYS[:3]:
-            value = getattr(self, name)
-            if not value >= 0.0 or not math.isfinite(value):
+        for name in PARAM_KEYS:
+            value = _check_real(name, getattr(self, name))
+            if name in PARAM_KEYS[:3] and value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not self.execution_time > 0.0 or not math.isfinite(self.execution_time):
-            raise ValueError(
-                f"execution_time must be finite and > 0, got {self.execution_time!r}"
-            )
+        if self.execution_time <= 0.0:
+            raise ValueError(f"execution_time must be finite and > 0, got {self.execution_time!r}")
         if not 0.0 <= self.p_read_disturb < 1.0:
-            raise ValueError(
-                f"p_read_disturb must lie in [0, 1), got {self.p_read_disturb!r}"
-            )
+            raise ValueError(f"p_read_disturb must lie in [0, 1), got {self.p_read_disturb!r}")
         # every energy ratio divides by the baseline run's energy
         if (
             self.energy_per_bit_read
@@ -74,10 +72,7 @@ PARAM_KEYS = tuple(f.name for f in fields(CostParams))
 def tag_energy(bits_read: float, accesses: int, params: CostParams) -> float:
     """Total tag-array read energy for a run; one too large for a float,
     which no ratio could divide, is a ValueError naming the bit count."""
-    if not bits_read >= 0.0:
-        raise ValueError(f"bits_read must be >= 0, got {bits_read!r}")
-    if not accesses >= 0:
-        raise ValueError(f"accesses must be >= 0, got {accesses!r}")
+    bits_read, accesses = _check_real("bits_read", bits_read, 0), _check_int("accesses", accesses, 0)
     energy = (bits_read * params.energy_per_bit_read + accesses * params.fixed_energy_per_access
               + params.leakage_power * params.execution_time)
     if not math.isfinite(energy):
@@ -92,9 +87,7 @@ def reliability(bits_read: float, params: CostParams) -> float:
     Evaluated as exp(bits_read * log1p(-p)); the direct power underflows
     the (1 - p) representation long before the result stops mattering.
     """
-    if not bits_read >= 0.0:
-        raise ValueError(f"bits_read must be >= 0, got {bits_read!r}")
-    return math.exp(bits_read * math.log1p(-params.p_read_disturb))
+    return math.exp(_check_real("bits_read", bits_read, 0) * math.log1p(-params.p_read_disturb))
 
 
 def mttf_from_bits(bits_read: float, params: CostParams) -> float:
@@ -105,9 +98,8 @@ def mttf_from_bits(bits_read: float, params: CostParams) -> float:
     reliability value would round 1 - tiny to 1.0.  A rate of zero
     (p = 0 or nothing read) never fails and reports infinity.
     """
-    if not bits_read >= 0.0:
-        raise ValueError(f"bits_read must be >= 0, got {bits_read!r}")
-    rate = -bits_read * math.log1p(-params.p_read_disturb) / params.execution_time
+    bits_read = _check_real("bits_read", bits_read, 0)
+    rate = bits_read * -math.log1p(-params.p_read_disturb) / params.execution_time
     return math.inf if rate == 0.0 else 1.0 / rate
 
 
@@ -134,10 +126,14 @@ def ratio_columns(
     reliabilities of order 1 - 1e-12 into doubles.  A run that read no
     bits never fails, so its ratio is infinite, as in mttf_from_bits.
     The baseline's energy is computed once, right after the first run's,
-    so the columns fail where ratios_from_bits, run by run, would first fail.
+    so the columns fail where ratios_from_bits, run by run, would first fail;
+    a baseline energy of 0, which no ratio can divide, is a ValueError.
     """
     energies = [tag_energy(bits, accesses, params) for bits in split_bits[:1]]
     base_energy = tag_energy(base_bits, accesses, params)
+    if base_energy == 0.0:
+        raise ValueError(f"the baseline energy of {base_bits!r} bit reads over {accesses!r} "
+                         "accesses is 0, so it divides no energy ratio")
     energy_ratios = [energy / base_energy for energy in energies]
     energy_ratios += [tag_energy(bits, accesses, params) / base_energy for bits in split_bits[1:]]
     return energy_ratios, [math.inf if bits == 0 else base_bits / bits for bits in split_bits]

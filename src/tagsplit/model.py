@@ -16,6 +16,7 @@ the expected-cost function, and its first and second derivatives in k.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -39,23 +40,64 @@ def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def _check_int(name: str, value) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _is_real(value) -> bool:
+    """True for a finite real number that is not a bool (numpy's bool is not numbers.Real)."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond a double
+        return False
+
+
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """value as a plain int, if it is an integer no less than low.
+
+    The one rule for integer arguments (README "Library arguments"):
+    Python and numpy integers and integral floats are accepted; bools,
+    nan, infinities, strings and fractions are a ValueError naming name.
+    """
+    if type(value) is not int:
+        if not (_is_real(value) and value == int(value)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_real(name: str, value, low: float | None = None):
+    """value, if it is a finite real number no less than low; else a ValueError naming name."""
+    # a float, the common case, skips the slower numbers.Real check
+    if not (type(value) is float and math.isfinite(value) or _is_real(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _tag_and_ways(tag_bits, ways) -> tuple[int, int]:
+    """tag_bits and ways as ints, if both are integers >= 1."""
+    tag_bits, ways = _check_int("tag_bits", tag_bits), _check_int("ways", ways)
+    if tag_bits < 1 or ways < 1:
+        raise ValueError(f"tag_bits and ways must be >= 1, got {tag_bits}, {ways}")
+    return tag_bits, ways
 
 
 def _splitting_point(k, tag_bits: int) -> int:
     """k as an int, if it is an integer splitting point of a tag_bits-bit tag."""
-    value = int(k)
-    if value != k or not 0 <= value <= tag_bits:
+    value = _check_int("splitting point k", k)
+    if not 0 <= value <= tag_bits:
         raise ValueError(f"splitting point k must be an integer in [0, {tag_bits}], got {k!r}")
     return value
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Physical cache organization (power-of-two sizes in bytes) and its address split."""
+    """Physical cache organization (power-of-two sizes in bytes) and its address split.
+
+    Each field is checked by _check_int and stored as a plain int, so a
+    numpy integer is taken at its value and the derived properties can
+    call int.bit_length.
+    """
 
     address_bits: int
     cache_size: int
@@ -63,14 +105,14 @@ class CacheConfig:
     associativity: int
 
     def __post_init__(self):
+        for name in ("address_bits", "cache_size", "block_size", "associativity"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         for name in ("cache_size", "block_size", "associativity"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not _is_power_of_two(value):
+            if not _is_power_of_two(value):
                 raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-        if not isinstance(self.address_bits, int) or not 16 <= self.address_bits <= 128:
-            raise ValueError(
-                f"address_bits must be an integer in [16, 128], got {self.address_bits!r}"
-            )
+        if not 16 <= self.address_bits <= 128:
+            raise ValueError(f"address_bits must be an integer in [16, 128], got {self.address_bits}")
         if self.block_size * self.associativity > self.cache_size:
             raise ValueError(
                 "block_size * associativity exceeds cache_size "
@@ -116,11 +158,7 @@ _SPLIT_FIELDS = tuple(f.name for f in fields(SplitEval))
 
 def baseline_bits(tag_bits: int, ways: int) -> int:
     """Bits read per access by a conventional single-step comparison."""
-    tag_bits = _check_int("tag_bits", tag_bits)
-    ways = _check_int("ways", ways)
-    if tag_bits < 1 or ways < 1:
-        raise ValueError(f"tag_bits and ways must be >= 1, got {tag_bits}, {ways}")
-    return tag_bits * ways
+    return math.prod(_tag_and_ways(tag_bits, ways))
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +194,7 @@ def expected_matched_ways(ways: int, k: int) -> float:
     pairs with ways a power of two up to 512 and k <= 32 differ.
     ROADMAP item 2 replaces the sum with ways * 2.0**-k.
     """
-    ways = _check_int("ways", ways)
-    k = _check_int("k", k)
-    if ways < 1:
-        raise ValueError(f"ways must be >= 1, got {ways}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return _binomial_mean_matches(ways, k)
+    return _binomial_mean_matches(_check_int("ways", ways, 1), _check_int("k", k, 0))
 
 
 def expected_reads(tag_bits: int, ways: int, k: int) -> SplitEval:
@@ -183,10 +215,7 @@ def split_columns(tag_bits: int, ways: int, ks) -> dict[str, list]:
     tag_bits and ways are checked once, and every k before any cost is
     computed, so the first k beyond the tag is the one named.
     """
-    tag_bits = _check_int("tag_bits", tag_bits)
-    ways = _check_int("ways", ways)
-    if tag_bits < 1 or ways < 1:
-        raise ValueError(f"tag_bits and ways must be >= 1, got {tag_bits}, {ways}")
+    tag_bits, ways = _tag_and_ways(tag_bits, ways)
     ks = [_splitting_point(k, tag_bits) for k in ks]
     firsts = [k * ways for k in ks]
     seconds = [(tag_bits - k) * _binomial_mean_matches(ways, k) for k in ks]
@@ -203,7 +232,8 @@ def continuous_total_bits(tag_bits: int, ways: int, k: float) -> float:
     k_min_integer compares it at the floor and the ceiling of the
     optimum, and read costs at integer k come from expected_reads.
     """
-    if not 0.0 <= k <= tag_bits:
+    tag_bits, ways = _tag_and_ways(tag_bits, ways)
+    if not 0.0 <= _check_real("k", k) <= tag_bits:
         raise ValueError(f"k must be in [0, {tag_bits}], got {k}")
     return k * ways + (tag_bits - k) * ways * 2.0 ** -k
 
@@ -214,13 +244,15 @@ def first_derivative(tag_bits: int, ways: int, k: float) -> float:
     Equals (x/2**k) * (ln2 * (k - n) + 2**k - 1); its sign change marks
     the optimum splitting point.
     """
-    if not 0.0 < k < tag_bits:
+    tag_bits, ways = _tag_and_ways(tag_bits, ways)
+    if not 0.0 < _check_real("k", k) < tag_bits:
         raise ValueError(f"k must be inside (0, {tag_bits}), got {k}")
     return ways * 2.0 ** -k * (LN2 * (k - tag_bits) + 2.0 ** k - 1.0)
 
 
 def second_derivative(tag_bits: int, ways: int, k: float) -> float:
     """d2/dk2 of the expected total; strictly positive, so the cost is convex."""
-    if not 0.0 < k < tag_bits:
+    tag_bits, ways = _tag_and_ways(tag_bits, ways)
+    if not 0.0 < _check_real("k", k) < tag_bits:
         raise ValueError(f"k must be inside (0, {tag_bits}), got {k}")
     return ways * 2.0 ** -k * LN2 * (2.0 + (tag_bits - k) * LN2)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .model import LN2, continuous_total_bits, expected_reads, first_derivative, second_derivative
+from .model import LN2, _check_int, _check_real, continuous_total_bits, expected_reads
+from .model import first_derivative, second_derivative
 
 __all__ = [
     "OptimumResult",
@@ -49,14 +50,12 @@ class OptimumResult:
 def lambert_w_log(ln_z: float) -> float:
     """Solve w + ln(w) = ln_z for w, i.e. W(z) given ln(z).
 
-    Requires ln_z >= 1 (z >= e), the branch where w >= 1.  Newton
+    Requires a finite ln_z >= 1 (z >= e), the branch where w >= 1.  Newton
     iteration seeded with the asymptotic ln_z - ln(ln_z) approaches the
     root from below on this concave residual, so convergence is
     monotone and quadratic.
     """
-    if not ln_z >= 1.0:
-        raise ValueError(f"ln_z must be >= 1, got {ln_z!r}")
-    w = ln_z - math.log(ln_z)
+    w = _check_real("ln_z", ln_z, 1) - math.log(ln_z)
     for _ in range(_MAX_NEWTON_ITERATIONS):
         step = (w + math.log(w) - ln_z) / (1.0 + 1.0 / w)
         w -= step
@@ -71,12 +70,10 @@ def k_optimal_continuous(tag_bits: int) -> float:
     Root of 2**k - 1 = (tag_bits - k)*ln2; depends only on the tag
     length, never on associativity, which scales the cost uniformly.
     """
-    if tag_bits < 2:
-        raise ValueError(f"tag_bits must be >= 2, got {tag_bits}")
-    return math.log2(lambert_w_log(tag_bits * LN2 + 1.0))
+    return math.log2(lambert_w_log(_check_int("tag_bits", tag_bits, 2) * LN2 + 1.0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
     """Best integer splitting point: the floor or the ceiling of the continuous optimum.
 
@@ -111,9 +108,8 @@ def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
 
 def convexity_certificate(tag_bits: int, ways: int, samples: int = 1000) -> bool:
     """True iff the second derivative is positive at evenly spaced interior points."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    step = tag_bits / (samples + 1)
+    samples = _check_int("samples", samples, 1)
+    step = _check_int("tag_bits", tag_bits) / (samples + 1)
     return all(
         second_derivative(tag_bits, ways, (i + 1) * step) > 0.0 for i in range(samples)
     )

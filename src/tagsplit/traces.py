@@ -21,6 +21,8 @@ import re
 
 import numpy as np
 
+from .model import _check_int, _check_real
+
 __all__ = [
     "TRACE_KINDS",
     "TraceParseError",
@@ -57,18 +59,17 @@ class TraceParseError(ValueError):
 
 
 def _check_length(length: int) -> int:
-    if length != int(length) or int(length) < 1:
+    if _check_int("trace length", length) < 1:
         raise ValueError(f"trace length must be a positive integer, got {length!r}")
     return int(length)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_int("seed", seed, 0))
 
 
 def _address_mask(address_bits: int) -> np.uint64:
+    address_bits = _check_int("address_bits", address_bits)
     if not 1 <= address_bits <= 64:
         raise ValueError(f"generated addresses must fit in 1..64 bits, got {address_bits!r}")
     return np.uint64((1 << address_bits) - 1)
@@ -85,10 +86,7 @@ def stride_trace(length: int, stride: int = 64, base: int = 0, address_bits: int
     """Arithmetic walk base, base+stride, ... wrapping at the address-space size."""
     length = _check_length(length)
     mask = _address_mask(address_bits)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride!r}")
-    if base < 0:
-        raise ValueError(f"base must be >= 0, got {base!r}")
+    stride, base = _check_int("stride", stride, 1), _check_int("base", base, 0)
     steps = np.arange(length, dtype=np.uint64)
     # uint64 arithmetic wraps mod 2**64; masking afterwards yields
     # mod 2**address_bits because address_bits <= 64
@@ -116,8 +114,9 @@ def zipf_block_trace(
     """
     length = _check_length(length)
     mask = _address_mask(address_bits)
-    if not exponent > 0.0:
+    if not _check_real("exponent", exponent) > 0.0:
         raise ValueError(f"zipf exponent must be > 0, got {exponent!r}")
+    num_blocks, block_size = _check_int("num_blocks", num_blocks), _check_int("block_size", block_size)
     if num_blocks < 1 or block_size < 1:
         raise ValueError("num_blocks and block_size must be >= 1")
     if num_blocks * block_size - 1 > int(mask):
@@ -166,6 +165,7 @@ def as_addresses(addresses, address_bits: int = 64) -> np.ndarray:
     integer array goes through operator.index one element at a time, so
     a float, numpy bool or string is refused instead of truncated.
     """
+    address_bits = _check_int("address_bits", address_bits, 1)
     if isinstance(addresses, np.ndarray) and addresses.ndim != 1:
         raise ValueError(f"a trace must be one-dimensional, got shape {addresses.shape}")
     if not (isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu"):
