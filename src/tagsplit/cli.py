@@ -7,8 +7,9 @@ Subcommands:
   gen-trace  write a synthetic address trace to a file
   curves     normalized step-1/step-2/total cost curves over k
 
-Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 internal
-invariant violation.  A command computes and checks everything before
+Exit codes: 0 success, 2 invalid input or a request for more memory
+than there is, 3 I/O failure, 4 internal invariant violation.  A
+command computes and checks everything before
 it opens its output file, so a command that fails leaves no output and
 an existing file untouched; only an I/O error while writing can leave
 a partial file.  Output rows are sorted by (cache_size,
@@ -17,6 +18,12 @@ line of the analyze/simulate reports, print floats with 17 significant
 digits, and JSON lines writes their shortest round-trip repr, so
 identical invocations produce byte-identical files.  A simulate report
 line named like an --out column prints that column's CSV cell.
+
+simulate --gen draws its trace one slice of at most 2**18 addresses
+(sim._TRACE_CHUNK) at a time and folds each slice before the next is
+drawn, so a run holds one slice, not the trace; a trace file, and the
+one trace per address width that every sweep --simulate row reuses,
+are held whole.
 
 Every output file is written through one encoder per format
 (_encoder), which turns rows to text a column at a time.  A sweep
@@ -28,18 +35,18 @@ template its rows fill.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 from .costs import load_params, mttf_from_bits, ratio_columns, ratios_from_bits, reliability, tag_energy
 from .model import CacheConfig, baseline_bits, expected_reads, split_columns
 from .optimum import k_min_integer
-from .sim import CacheState, run_trace, warm_fill
+from .sim import _TRACE_CHUNK, CacheState, SimStats, _added, run_trace, warm_fill
 from .traces import (
     TRACE_KINDS,
+    _trace_slices,
     as_addresses,
     generate_trace,
     read_trace_binary,
@@ -177,6 +184,8 @@ def _json_cell(value) -> str:
         return float.__repr__(value) if math.isfinite(value) else f'"{format_value(value)}"'
     if isinstance(value, int):
         return int.__repr__(value)
+    import json  # imported where used, as csv is, so that most runs never load it
+
     return json.dumps(value)
 
 
@@ -362,20 +371,29 @@ def _sim_cells(observed: float | None, total_bits: float) -> dict:
     return dict(zip(_SIM_COLUMNS, (observed, (observed - total_bits) / total_bits)))
 
 
-def _checked_run(state: CacheState, trace, warm: bool):
-    """The trace's counters on state, warmed first if warm, with every
-    counter identity checked (an AssertionError, exit 4, names one that fails)."""
+def _checked_run(state: CacheState, slices, warm: bool) -> SimStats:
+    """The counters of a trace on state, warmed first if warm, with every
+    counter identity checked (an AssertionError, exit 4, names one that fails).
+
+    The trace comes as consecutive slices, address arrays that may be
+    drawn one at a time (see _load_trace).  run_trace folds each slice
+    from the state the one before it left, and the slices' counters are
+    added up, which is exact: they are those of one run_trace over the
+    whole trace.  The identities are checked once, on the sum.
+    """
     if warm:
         warm_fill(state)
-    stats = run_trace(state, trace)
+    # map keeps no slice once its run is done, so two are never held
+    stats = _added(list(map(run_trace, repeat(state), slices)))
     stats.validate(state.config.tag_bits, state.k)
     return stats
 
 
 def _simulated_run(config: CacheConfig, run: dict, trace) -> dict:
     """run, from _split_runs, with the simulation cells of each k, in k order."""
-    # a fresh warm cache per row: rows of one grid point differ in k
-    rows = [_sim_cells(_checked_run(CacheState(config, k), trace, True).bits_per_access, total)
+    # a fresh warm cache per row: rows of one grid point differ in k, and
+    # each reuses the trace, which is therefore held whole, as one slice
+    rows = [_sim_cells(_checked_run(CacheState(config, k), (trace,), True).bits_per_access, total)
             for k, total in zip(run["k"], run["total_bits"])]
     return {**run, **{name: [row[name] for row in rows] for name in _SIM_COLUMNS}}
 
@@ -407,6 +425,8 @@ def read_sweep_csv(path) -> list[SweepRow]:
     energy_ratio is, as the sweep writes the two together.  Malformed
     input raises ValueError naming the path, line and column.
     """
+    import csv  # imported where used, so that no other command loads it
+
     rows = []
     # a non-ASCII byte is kept in its cell as a lone surrogate, which no cell parser accepts
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
@@ -499,12 +519,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _generate(kind: str, args):
-    """The trace the generator flags of simulate and gen-trace describe."""
-    return generate_trace(
-        kind, args.length, args.seed, address_bits=args.addr_bits, block_size=args.block,
-        stride=args.stride, base=args.base, exponent=args.zipf_exponent, num_blocks=args.num_blocks,
-    )
+def _generator_keywords(args) -> dict:
+    """The generate_trace keywords of the generator flags of simulate and gen-trace."""
+    return dict(address_bits=args.addr_bits, block_size=args.block, stride=args.stride,
+                base=args.base, exponent=args.zipf_exponent, num_blocks=args.num_blocks)
 
 
 def _is_binary_trace(path: str) -> bool:
@@ -517,15 +535,22 @@ def _is_binary_trace(path: str) -> bool:
 
 
 def _load_trace(args, address_bits: int):
-    """The generated trace, or the trace file's addresses checked to fit
-    in address_bits, with the file's path in front of the error that names
-    the first one outside."""
+    """The trace of simulate's flags as consecutive slices (see _checked_run).
+
+    A generated trace is drawn one slice of at most sim._TRACE_CHUNK
+    addresses at a time, as the slices are iterated, so a run holds one
+    slice, not the trace; its flags are checked by this call.  A trace
+    file is read whole, as one slice, its addresses checked to fit in
+    address_bits, with the file's path in front of the error that names
+    the first one outside.
+    """
     if args.trace is None:
-        return _generate(args.gen, args)
+        return _trace_slices(_TRACE_CHUNK, args.gen, args.length, args.seed,
+                             **_generator_keywords(args))
     read = read_trace_binary if _is_binary_trace(args.trace) else read_trace_text
     trace = read(args.trace)
     try:
-        return as_addresses(trace, address_bits)
+        return (as_addresses(trace, address_bits),)
     except ValueError as exc:
         raise ValueError(f"{args.trace}: {exc}") from None
 
@@ -590,12 +615,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    binary = _is_binary_trace(args.out)
-    trace = _generate(args.kind, args)
-    if binary:
-        write_trace_binary(args.out, trace)
-    else:
-        write_trace_text(args.out, trace)
+    write = write_trace_binary if _is_binary_trace(args.out) else write_trace_text
+    trace = generate_trace(args.kind, args.length, args.seed, **_generator_keywords(args))
+    write(args.out, trace)
     print(f"wrote {len(trace)} addresses to {args.out}")
     return 0
 
@@ -722,8 +744,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

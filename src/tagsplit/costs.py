@@ -15,11 +15,10 @@ and reports label the model accordingly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
-from .model import _check_int, _check_real
+from .model import _check_double_int, _check_real
 
 __all__ = [
     "CostParams",
@@ -72,7 +71,8 @@ PARAM_KEYS = tuple(f.name for f in fields(CostParams))
 def tag_energy(bits_read: float, accesses: int, params: CostParams) -> float:
     """Total tag-array read energy for a run; one too large for a float,
     which no ratio could divide, is a ValueError naming the bit count."""
-    bits_read, accesses = _check_real("bits_read", bits_read, 0), _check_int("accesses", accesses, 0)
+    bits_read = _check_real("bits_read", bits_read, 0)
+    accesses = _check_double_int("accesses", accesses, 0)
     energy = (bits_read * params.energy_per_bit_read + accesses * params.fixed_energy_per_access
               + params.leakage_power * params.execution_time)
     if not math.isfinite(energy):
@@ -141,6 +141,8 @@ def ratio_columns(
 
 def load_params(path) -> CostParams:
     """Read the flat JSON parameter file (all PARAM_KEYS required, SI units)."""
+    import json  # imported where used, so that a run without parameters never loads it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

@@ -22,6 +22,10 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 LN2 = math.log(2.0)
+# The largest integer argument, and tag_bits * ways, that the model computes
+# with in doubles: a double's range ends just below 2**1024, and every cost is
+# at most about tag_bits * ways, so its products and sums stay finite
+_DOUBLE_INT = 1 << 1023
 
 __all__ = [
     "CacheConfig",
@@ -64,6 +68,15 @@ def _check_int(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def _check_double_int(name: str, value, low: int | None = None) -> int:
+    """_check_int's value, if it is also at most 2**1023 (_DOUBLE_INT), so that
+    the doubles computed from it are finite; else a ValueError naming name."""
+    value = _check_int(name, value, low)
+    if value > _DOUBLE_INT:
+        raise ValueError(f"{name} must be at most 2**1023, got a {value.bit_length()}-bit integer")
+    return value
+
+
 def _check_real(name: str, value, low: float | None = None):
     """value, if it is a finite real number no less than low; else a ValueError naming name."""
     # a float, the common case, skips the slower numbers.Real check
@@ -75,10 +88,14 @@ def _check_real(name: str, value, low: float | None = None):
 
 
 def _tag_and_ways(tag_bits, ways) -> tuple[int, int]:
-    """tag_bits and ways as ints, if both are integers >= 1."""
+    """tag_bits and ways as ints, if both are integers >= 1 whose product,
+    the baseline cost, is at most 2**1023 (_DOUBLE_INT)."""
     tag_bits, ways = _check_int("tag_bits", tag_bits), _check_int("ways", ways)
     if tag_bits < 1 or ways < 1:
         raise ValueError(f"tag_bits and ways must be >= 1, got {tag_bits}, {ways}")
+    if tag_bits * ways > _DOUBLE_INT:
+        raise ValueError("tag_bits * ways must be at most 2**1023, got a "
+                         f"{(tag_bits * ways).bit_length()}-bit product")
     return tag_bits, ways
 
 
@@ -194,7 +211,7 @@ def expected_matched_ways(ways: int, k: int) -> float:
     pairs with ways a power of two up to 512 and k <= 32 differ.
     ROADMAP item 2 replaces the sum with ways * 2.0**-k.
     """
-    return _binomial_mean_matches(_check_int("ways", ways, 1), _check_int("k", k, 0))
+    return _binomial_mean_matches(_check_double_int("ways", ways, 1), _check_double_int("k", k, 0))
 
 
 def expected_reads(tag_bits: int, ways: int, k: int) -> SplitEval:
@@ -242,12 +259,14 @@ def first_derivative(tag_bits: int, ways: int, k: float) -> float:
     """d/dk of the expected total, for real k in (0, tag_bits).
 
     Equals (x/2**k) * (ln2 * (k - n) + 2**k - 1); its sign change marks
-    the optimum splitting point.
+    the optimum splitting point.  It is evaluated as
+    x * (1 - (1 + ln2 * (n - k)) / 2**k), which holds no 2**k, so it stays
+    finite where 2**k overflows a double (k >= 1024).
     """
     tag_bits, ways = _tag_and_ways(tag_bits, ways)
     if not 0.0 < _check_real("k", k) < tag_bits:
         raise ValueError(f"k must be inside (0, {tag_bits}), got {k}")
-    return ways * 2.0 ** -k * (LN2 * (k - tag_bits) + 2.0 ** k - 1.0)
+    return ways * (1.0 - (1.0 + LN2 * (tag_bits - k)) * 2.0 ** -k)
 
 
 def second_derivative(tag_bits: int, ways: int, k: float) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .model import LN2, _check_int, _check_real, continuous_total_bits, expected_reads
+from .model import LN2, _check_double_int, _check_int, _check_real, _tag_and_ways
+from .model import continuous_total_bits, expected_reads
 from .model import first_derivative, second_derivative
 
 __all__ = [
@@ -70,7 +71,7 @@ def k_optimal_continuous(tag_bits: int) -> float:
     Root of 2**k - 1 = (tag_bits - k)*ln2; depends only on the tag
     length, never on associativity, which scales the cost uniformly.
     """
-    return math.log2(lambert_w_log(_check_int("tag_bits", tag_bits, 2) * LN2 + 1.0))
+    return math.log2(lambert_w_log(_check_double_int("tag_bits", tag_bits, 2) * LN2 + 1.0))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -109,7 +110,8 @@ def k_min_integer(tag_bits: int, ways: int) -> OptimumResult:
 def convexity_certificate(tag_bits: int, ways: int, samples: int = 1000) -> bool:
     """True iff the second derivative is positive at evenly spaced interior points."""
     samples = _check_int("samples", samples, 1)
-    step = _check_int("tag_bits", tag_bits) / (samples + 1)
+    tag_bits, ways = _tag_and_ways(tag_bits, ways)
+    step = tag_bits / (samples + 1)
     return all(
         second_derivative(tag_bits, ways, (i + 1) * step) > 0.0 for i in range(samples)
     )

@@ -47,7 +47,7 @@ for the hit/miss sequence alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,6 +129,14 @@ class SimStats:
         for label, ok in checks:
             if not ok:
                 raise AssertionError(f"counter identity violated: {label}")
+
+
+def _added(runs: list[SimStats]) -> SimStats:
+    """The counters of consecutive runs on one state added up: those of
+    one run over their traces joined, as slices are exact (see _run)."""
+    counters = [sum(getattr(run, f.name) for run in runs) for f in fields(SimStats)[1:-1]]
+    histogram = [sum(counts) for counts in zip(*(run.matched_way_histogram for run in runs))]
+    return SimStats(runs[0].ways, *counters, histogram)
 
 
 class CacheState:

@@ -78,19 +78,41 @@ def _address_mask(address_bits: int) -> np.uint64:
 def uniform_trace(length: int, seed: int, address_bits: int = 40) -> np.ndarray:
     """Independent addresses uniform over the whole address space."""
     length = _check_length(length)
+    return _uniform_draw(seed, address_bits)(length)
+
+
+def _uniform_draw(seed: int, address_bits: int):
+    """The uniform kind's draw: draw(count) is the next count addresses of one rng."""
     high = int(_address_mask(address_bits))
-    return _rng(seed).integers(0, high, size=length, dtype=np.uint64, endpoint=True)
+    rng = _rng(seed)
+    return lambda count: rng.integers(0, high, size=count, dtype=np.uint64, endpoint=True)
 
 
 def stride_trace(length: int, stride: int = 64, base: int = 0, address_bits: int = 40) -> np.ndarray:
     """Arithmetic walk base, base+stride, ... wrapping at the address-space size."""
     length = _check_length(length)
+    return _stride_draw(stride, base, address_bits)(length)
+
+
+def _stride_draw(stride: int, base: int, address_bits: int):
+    """The stride kind's draw: draw(count) is the walk's next count addresses."""
     mask = _address_mask(address_bits)
     stride, base = _check_int("stride", stride, 1), _check_int("base", base, 0)
-    steps = np.arange(length, dtype=np.uint64)
     # uint64 arithmetic wraps mod 2**64; masking afterwards yields
     # mod 2**address_bits because address_bits <= 64
-    return (np.uint64(base % (1 << 64)) + steps * np.uint64(stride % (1 << 64))) & mask
+    start, step = np.uint64(base % (1 << 64)), np.uint64(stride % (1 << 64))
+    drawn = 0
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal drawn
+        walk = np.arange(drawn, drawn + count, dtype=np.uint64)
+        drawn += count
+        walk *= step
+        walk += start
+        walk &= mask
+        return walk
+
+    return draw
 
 
 def zipf_block_trace(
@@ -108,11 +130,17 @@ def zipf_block_trace(
     blocks and a long cold tail.  Intended as a qualitative locality
     workload, not a calibrated benchmark.
 
-    The weights are normalised in place, so one population-sized array
-    is held beside ``Generator.choice``'s own cdf; passing
-    ``p=weights / weights.sum()`` would hold a normalised copy as well.
+    The weights are computed, normalised and turned into their cdf in
+    place, so one population-sized array is held; the draws are those of
+    ``Generator.choice(num_blocks, length, p=weights / weights.sum())``.
     """
     length = _check_length(length)
+    return _zipf_block_draw(seed, exponent, num_blocks, block_size, address_bits)(length)
+
+
+def _zipf_block_draw(seed: int, exponent: float, num_blocks: int, block_size: int,
+                     address_bits: int):
+    """The zipf-block kind's draw: draw(count) is the next count addresses of one rng."""
     mask = _address_mask(address_bits)
     if not _check_real("exponent", exponent) > 0.0:
         raise ValueError(f"zipf exponent must be > 0, got {exponent!r}")
@@ -124,10 +152,35 @@ def zipf_block_trace(
             f"footprint {num_blocks} blocks * {block_size} B exceeds the "
             f"{address_bits}-bit address space"
         )
-    weights = np.arange(1, num_blocks + 1, dtype=np.float64) ** -float(exponent)
+    weights = np.arange(1, num_blocks + 1, dtype=np.float64)
+    weights **= -float(exponent)
     weights /= weights.sum()
-    blocks = _rng(seed).choice(num_blocks, size=length, p=weights)
-    return blocks.astype(np.uint64) * np.uint64(block_size)
+    # Generator.choice(num_blocks, count, p=weights) builds this cdf and
+    # searches it for count uniform draws; here it is built once, in place
+    # of the weights, not once per draw
+    cdf = np.cumsum(weights, out=weights)
+    cdf /= cdf[-1]
+    rng = _rng(seed)
+    return lambda count: (cdf.searchsorted(rng.random(count), side="right").astype(np.uint64)
+                          * np.uint64(block_size))
+
+
+def _draw(kind: str, length: int, seed: int, address_bits: int, block_size: int, stride: int,
+          base: int, exponent: float, num_blocks: int):
+    """(length, draw) of generate_trace's arguments: the length, checked,
+    and the kind's draw, whose calls continue one trace.
+
+    The arguments are checked here, in generate_trace's order: the kind,
+    the length, then the kind's own keywords.
+    """
+    if kind not in TRACE_KINDS:
+        raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
+    length = _check_length(length)
+    if kind == "uniform":
+        return length, _uniform_draw(seed, address_bits)
+    if kind == "stride":
+        return length, _stride_draw(stride, base, address_bits)
+    return length, _zipf_block_draw(seed, exponent, num_blocks, block_size, address_bits)
 
 
 def generate_trace(
@@ -141,13 +194,22 @@ def generate_trace(
     address_bits; zipf-block reads seed, exponent, num_blocks,
     block_size and address_bits.
     """
-    if kind == "uniform":
-        return uniform_trace(length, seed, address_bits)
-    if kind == "stride":
-        return stride_trace(length, stride, base, address_bits)
-    if kind == "zipf-block":
-        return zipf_block_trace(length, seed, exponent, num_blocks, block_size, address_bits)
-    raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
+    length, draw = _draw(kind, length, seed, address_bits, block_size, stride, base, exponent,
+                         num_blocks)
+    return draw(length)
+
+
+def _trace_slices(slice_length: int, kind: str, length: int, seed: int, **keywords):
+    """generate_trace(kind, length, seed, **keywords) as consecutive slices of
+    at most slice_length addresses, each drawn when the iterator reaches it.
+
+    Every argument is checked by this call, before the first slice is
+    drawn.  A draw continues its rng or its walk from where the previous
+    one stopped, so the slices, joined, are generate_trace's trace (the
+    tests check this across slice lengths and address widths).
+    """
+    length, draw = _draw(kind, length, seed, **keywords)
+    return (draw(min(slice_length, length - lo)) for lo in range(0, length, slice_length))
 
 
 def _index(address) -> int:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -719,6 +720,24 @@ class TestGenTrace:
         assert f"cannot infer trace format from {str(out)!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_trace_too_large_for_memory_exits_2_naming_the_allocation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # numpy's message; the test never asks for such an allocation, as
+        # under memory overcommit it could succeed and the fill then exhaust memory
+        refusal = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+                   "and data type uint64")
+
+        def generate(*args, **params):
+            raise MemoryError(refusal)
+
+        monkeypatch.setattr(cli, "generate_trace", generate)
+        out = tmp_path / "t.bin"
+        code = main(["gen-trace", "--kind", "uniform", "--length", "10000000000000",
+                     "--out", str(out)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {refusal}\n")
+        assert not out.exists()
+
 
 class TestSimulate:
     CONFIG = ["--size", "64K", "--assoc", "8", "--addr-bits", "32"]
@@ -844,7 +863,7 @@ class TestSimulate:
         def generate(*args, **params):
             raise AssertionError("generated a trace before reading the parameters")
 
-        monkeypatch.setattr(cli, "generate_trace", generate)
+        monkeypatch.setattr(cli, "_trace_slices", generate)
         missing = tmp_path / "missing.json"
         out = tmp_path / "sim.csv"
         code = main(["simulate", *self.CONFIG, "--gen", "uniform", "--length", "100",
@@ -854,6 +873,58 @@ class TestSimulate:
         assert captured.out == ""
         assert str(missing) in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--addr-bits", "72", "--gen", "uniform"],
+         "error: generated addresses must fit in 1..64 bits, got 72\n"),
+        (["--addr-bits", "20", "--gen", "zipf-block", "--num-blocks", "100000"],
+         "error: footprint 100000 blocks * 64 B exceeds the 20-bit address space\n"),
+    ])
+    def test_a_generator_flag_is_refused_before_the_cache_is_warmed(
+        self, flags, message, monkeypatch, capsys
+    ):
+        def warm(state):
+            raise AssertionError("warmed the cache before the generator flags were checked")
+
+        monkeypatch.setattr(cli, "warm_fill", warm)
+        code = main(["simulate", "--size", "64K", "--assoc", "4", *flags, "--length", "10",
+                     "--warm"])
+        assert (code, *capsys.readouterr()) == (2, "", message)
+
+    @pytest.mark.parametrize("kind", cli.TRACE_KINDS)
+    @pytest.mark.parametrize("warm", [[], ["--warm"]])
+    def test_slices_of_any_length_report_as_the_whole_trace(self, kind, warm, monkeypatch,
+                                                           capsys):
+        args = ["simulate", *self.CONFIG, "--gen", kind, "--length", "2000", *warm]
+        assert main(args) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 333)
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_a_generated_trace_is_held_one_slice_at_a_time(self, capsys):
+        # the whole trace alone took 8 B per access, and the run 11.08 in all
+        args = ["simulate", "--size", "1M", "--assoc", "8", "--warm", "--gen", "uniform",
+                "--length"]
+        assert main([*args, "1"]) == 0  # first-call imports and allocations
+        args.append("1000000")
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1_000_000 < 6
+        assert report_dict(capsys.readouterr().out)["accesses"] == "1000000"
+
+    def test_running_out_of_memory_exits_2_with_one_line(self, monkeypatch, capsys):
+        def slices(*args, **keywords):
+            raise MemoryError
+            yield
+
+        monkeypatch.setattr(cli, "_trace_slices", slices)
+        code = main(["simulate", *self.CONFIG, "--gen", "uniform", "--length", "100"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: out of memory\n")
 
     def test_trace_and_gen_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):

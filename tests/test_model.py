@@ -322,6 +322,17 @@ class TestDerivatives:
     def test_positive_approaching_the_upper_boundary(self):
         assert first_derivative(23, 8, 22.9) > 0.0
 
+    @given(tag_bits=st.sampled_from([2000, 5000, 1 << 20]), data=st.data())
+    def test_first_derivative_is_finite_for_every_valid_k(self, tag_bits, data):
+        # 2**k overflows a double from k = 1024; the derivative does not
+        k = data.draw(st.floats(min_value=0.0, max_value=tag_bits, exclude_min=True,
+                                exclude_max=True))
+        assert math.isfinite(first_derivative(tag_bits, 8, k))
+
+    def test_first_derivative_far_above_the_optimum_is_the_ways(self):
+        # once 2**-k underflows, the derivative of k*x + (n-k)*x/2**k is x
+        assert first_derivative(2000, 8, 1500.0) == 8.0
+
     @pytest.mark.parametrize("k", [0.0, 23.0, -1.0, 24.0])
     def test_domain_is_open(self, k):
         with pytest.raises(ValueError):

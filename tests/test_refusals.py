@@ -6,8 +6,9 @@ TypeError whose message names the parameter:
 
 - nan, infinities, Python and numpy bools and strings are always refused;
 - a fraction is refused where an integer is asked for;
-- negative ints, ints of 64 to 200 bits and numpy integers may be taken
-  or refused, but a taken one gives a finite result;
+- negative ints, ints of 64 to 200 bits and beyond a double's range
+  (2**1024 to 2**1100), and numpy integers may be taken or refused, but a
+  taken one gives a finite result;
 - a numpy scalar or an integral float of a valid value gives the valid
   value's result.
 
@@ -195,7 +196,9 @@ NOT_NUMBERS = st.sampled_from(
      np.float64(-math.inf), np.float32(math.inf), "8", "nan", "", b"8"]
 )
 NEGATIVE = st.one_of(st.integers(max_value=-1), st.integers(-(2 ** 63), -1).map(np.int64))
-HUGE = st.one_of(st.integers(2 ** 64, 2 ** 200), st.integers(2 ** 63, 2 ** 64 - 1).map(np.uint64))
+# ints beyond a double's range (2**1024) too: converted to a float, they overflow
+HUGE = st.one_of(st.integers(2 ** 64, 2 ** 200), st.integers(2 ** 1024, 2 ** 1100),
+                 st.integers(2 ** 63, 2 ** 64 - 1).map(np.uint64))
 
 
 @pytest.mark.parametrize("name, param", DRIVEN, ids=[f"{n}-{p}" for n, p in DRIVEN])
@@ -272,10 +275,22 @@ NO_FIXED_ENERGY = CostParams(1e-12, 0.0, 0.0, 1.0, 1e-12)
          "the baseline energy of 0 bit reads over 5 accesses is 0, so it divides no energy ratio"),
         (lambda: ratios_from_bits(10, 0.0, 0, NO_FIXED_ENERGY),
          "the baseline energy of 0.0 bit reads over 0 accesses is 0, so it divides no energy ratio"),
+        # ints beyond a double's range once raised OverflowError
+        (lambda: split_columns(2 ** 1100, 8, [4]),
+         "tag_bits * ways must be at most 2**1023, got a 1104-bit product"),
+        (lambda: expected_reads(23, 2 ** 1100, 4),
+         "tag_bits * ways must be at most 2**1023, got a 1105-bit product"),
+        (lambda: k_optimal_continuous(2 ** 1100),
+         "tag_bits must be at most 2**1023, got a 1101-bit integer"),
+        (lambda: continuous_total_bits(2 ** 1100, 8, 4.0),
+         "tag_bits * ways must be at most 2**1023, got a 1104-bit product"),
+        (lambda: tag_energy(1.0, 2 ** 1100, PARAMS),
+         "accesses must be at most 2**1023, got a 1101-bit integer"),
     ],
     ids=["k-inf", "ks-nan", "matched-k-inf", "state-k-inf", "tag-nan", "k-opt-inf", "ln-z-inf",
          "continuous-tag-inf", "ways-true", "k-true", "config-true", "seed-nan",
-         "fractional-stride", "zero-baseline-columns", "zero-baseline-pair"],
+         "fractional-stride", "zero-baseline-columns", "zero-baseline-pair", "split-tag-huge",
+         "reads-ways-huge", "k-opt-huge", "continuous-tag-huge", "energy-accesses-huge"],
 )
 def test_each_former_fault_has_its_message(call, message):
     with pytest.raises(ValueError) as info:

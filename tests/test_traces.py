@@ -71,8 +71,8 @@ class TestGenerators:
         assert not (trace % 64).any()
 
     def test_zipf_block_holds_one_weights_array(self):
-        # The weights are normalised in place, so the peak is the weights
-        # plus Generator.choice's cdf, 2 x 8 B per block; each further
+        # The weights are computed, normalised and turned into their cdf in
+        # place, so the peak is one array of 8 B per block; each further
         # population-sized array would add 1.
         num_blocks = 1 << 18
         zipf_block_trace(1000, seed=0, num_blocks=num_blocks)  # warm-up: first-call allocations
@@ -82,7 +82,7 @@ class TestGenerators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8 * num_blocks) <= 2.5
+        assert peak / (8 * num_blocks) <= 1.5
 
     def test_dispatcher_and_kind_validation(self):
         assert np.array_equal(
@@ -144,6 +144,46 @@ class TestGenerators:
     def test_rejects_unsupported_address_width(self):
         with pytest.raises(ValueError, match="64"):
             uniform_trace(10, seed=0, address_bits=65)
+
+
+class TestSlices:
+    """traces._trace_slices: generate_trace's trace, drawn one slice at a time."""
+
+    KEYWORDS = dict(block_size=64, stride=192, base=4096, exponent=1.2, num_blocks=1000)
+
+    @given(
+        kind=st.sampled_from(traces.TRACE_KINDS),
+        # numpy draws bounded integers of up to 32 bits through a separate path
+        address_bits=st.one_of(st.sampled_from([31, 32, 33]), st.integers(16, 64)),
+        slice_length=st.integers(1, 70),
+        length=st.integers(1, 300),
+        seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_joined_slices_are_the_trace(self, kind, address_bits, slice_length, length, seed):
+        keywords = dict(self.KEYWORDS, address_bits=address_bits)
+        slices = list(traces._trace_slices(slice_length, kind, length, seed, **keywords))
+        assert [part.size for part in slices] == [
+            min(slice_length, length - lo) for lo in range(0, length, slice_length)
+        ]
+        assert np.array_equal(np.concatenate(slices), generate_trace(kind, length, seed, **keywords))
+
+    @pytest.mark.parametrize("kind", traces.TRACE_KINDS)
+    def test_a_trace_one_past_the_engine_slice(self, kind):
+        length, size = (1 << 18) + 1, 1 << 18
+        slices = list(traces._trace_slices(size, kind, length, 3, address_bits=40, **self.KEYWORDS))
+        assert [part.size for part in slices] == [size, 1]
+        assert np.array_equal(np.concatenate(slices), generate_trace(kind, length, 3, **self.KEYWORDS))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"address_bits": 72}, "generated addresses must fit in 1..64 bits, got 72"),
+        ({"address_bits": 20, "num_blocks": 100_000},
+         "footprint 100000 blocks * 64 B exceeds the 20-bit address space"),
+    ])
+    def test_the_arguments_are_checked_before_any_slice_is_drawn(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            traces._trace_slices(4, "zipf-block", 10, 0, **dict(self.KEYWORDS, **changes))
+        assert str(info.value) == message
 
 
 class TestTextFormat:
