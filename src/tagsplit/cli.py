@@ -9,10 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input or a request for more memory
 than there is, 3 I/O failure, 4 internal invariant violation.  A
-command computes and checks everything before
-it opens its output file, so a command that fails leaves no output and
-an existing file untouched; only an I/O error while writing can leave
-a partial file.  Output rows are sorted by (cache_size,
+command checks everything before it opens its output file, and every
+command but gen-trace, which draws each slice as it writes it, computes
+everything before it too, so a command that fails leaves no output and
+an existing file untouched; only an I/O error while writing, or
+gen-trace running out of memory for a slice, can leave a partial file.  Output rows are sorted by (cache_size,
 associativity, address_bits, k).  CSV cells, and every "name: value"
 line of the analyze/simulate reports, print floats with 17 significant
 digits, and JSON lines writes their shortest round-trip repr, so
@@ -21,9 +22,10 @@ line named like an --out column prints that column's CSV cell.
 
 simulate --gen draws its trace one slice of at most 2**18 addresses
 (sim._TRACE_CHUNK) at a time and folds each slice before the next is
-drawn, so a run holds one slice, not the trace; a trace file, and the
-one trace per address width that every sweep --simulate row reuses,
-are held whole.
+drawn, and gen-trace writes each slice before the next is drawn, so
+either holds one slice, not the trace; a trace file, and the one trace
+per address width that every sweep --simulate row reuses, are held
+whole.
 
 Every output file is written through one encoder per format
 (_encoder), which turns rows to text a column at a time.  A sweep
@@ -47,12 +49,11 @@ from .sim import _TRACE_CHUNK, CacheState, SimStats, _added, run_trace, warm_fil
 from .traces import (
     TRACE_KINDS,
     _trace_slices,
+    _write_slices,
     as_addresses,
     generate_trace,
     read_trace_binary,
     read_trace_text,
-    write_trace_binary,
-    write_trace_text,
 )
 
 KIB = 1024
@@ -615,10 +616,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    write = write_trace_binary if _is_binary_trace(args.out) else write_trace_text
-    trace = generate_trace(args.kind, args.length, args.seed, **_generator_keywords(args))
-    write(args.out, trace)
-    print(f"wrote {len(trace)} addresses to {args.out}")
+    binary = _is_binary_trace(args.out)
+    slices = _trace_slices(_TRACE_CHUNK, args.kind, args.length, args.seed,
+                           **_generator_keywords(args))
+    count = _write_slices(args.out, slices, binary)
+    print(f"wrote {count} addresses to {args.out}")
     return 0
 
 

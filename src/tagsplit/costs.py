@@ -72,7 +72,11 @@ def tag_energy(bits_read: float, accesses: int, params: CostParams) -> float:
     """Total tag-array read energy for a run; one too large for a float,
     which no ratio could divide, is a ValueError naming the bit count."""
     bits_read = _check_real("bits_read", bits_read, 0)
-    accesses = _check_double_int("accesses", accesses, 0)
+    return _energy(bits_read, _check_double_int("accesses", accesses, 0), params)
+
+
+def _energy(bits_read: float, accesses: int, params: CostParams) -> float:
+    """tag_energy of a checked bits_read over checked accesses."""
     energy = (bits_read * params.energy_per_bit_read + accesses * params.fixed_energy_per_access
               + params.leakage_power * params.execution_time)
     if not math.isfinite(energy):
@@ -128,14 +132,18 @@ def ratio_columns(
     The baseline's energy is computed once, right after the first run's,
     so the columns fail where ratios_from_bits, run by run, would first fail;
     a baseline energy of 0, which no ratio can divide, is a ValueError.
+    accesses is checked by those two tag_energy calls, in their order, and
+    the other runs reuse its checked value instead of checking it per cell.
     """
     energies = [tag_energy(bits, accesses, params) for bits in split_bits[:1]]
     base_energy = tag_energy(base_bits, accesses, params)
     if base_energy == 0.0:
         raise ValueError(f"the baseline energy of {base_bits!r} bit reads over {accesses!r} "
                          "accesses is 0, so it divides no energy ratio")
+    accesses = _check_double_int("accesses", accesses, 0)  # passed above; once per column
     energy_ratios = [energy / base_energy for energy in energies]
-    energy_ratios += [tag_energy(bits, accesses, params) / base_energy for bits in split_bits[1:]]
+    energy_ratios += [_energy(_check_real("bits_read", bits, 0), accesses, params) / base_energy
+                      for bits in split_bits[1:]]
     return energy_ratios, [math.inf if bits == 0 else base_bits / bits for bits in split_bits]
 
 

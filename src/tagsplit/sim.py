@@ -30,16 +30,22 @@ A trace longer than ``_TRACE_CHUNK`` accesses is folded in consecutive
 slices of that length, each from the state the one before it left, and
 their counters are added up.  Sets are independent, so this is exact:
 the counters, outcomes, tags and LRU order are those of one fold over
-the whole trace, and only the raw stamp values can differ.  The
-engine's working memory is therefore bounded by the slice, not the
-trace.
+the whole trace, and only the raw stamp values can differ.
+Within a slice, the sets it touches, busiest first, go in blocks of at
+most ``_BLOCK_SLOTS // ways`` sets, each gathered, run and written back
+before the next.  This is exact down to the raw stamps, as a set's
+j-th kept access takes the same stamp in any block.  The engine's
+working memory is therefore bounded by a slice and a block, not by the
+trace or the cache; only a few per-set counts and indices grow with the
+cache.
 Within a set, a run of accesses to one tag hits from its second access
 on, and each of those hits leaves the set as it was, so the run's third
 and later accesses are folded into its second and take no round.
-Once fewer than ``_SCALAR_TAIL_SETS`` sets still have accesses left,
-each of those is finished in turn, one access at a time, on its own
-contiguous span, so a hot set whose consecutive accesses change tag
-costs about one scalar step per access instead of one numpy round each.
+Once fewer than ``_SCALAR_TAIL_SETS`` sets of a block still have
+accesses left, each of those is finished in turn, one access at a time,
+on its own contiguous span, so a hot set whose consecutive accesses
+change tag costs about one scalar step per access instead of one numpy
+round each.
 The tests check this engine, state for state, against a per-access
 reference; ``baseline_outcomes`` is an independent full-tag reference
 for the hit/miss sequence alone.
@@ -77,6 +83,12 @@ _KEY_CHUNK = 1 << 16
 # runs as one fold; 2**17 split the benchmark's 250k-access trace in two,
 # which cost it 3-7 ms.
 _TRACE_CHUNK = 1 << 18
+# State slots (ways times sets) per block of a slice's fold: one gather of
+# tags and codes, rounds and write-back each, so the fold's working copies
+# and round temporaries stop growing with the sets a slice touches.  On the
+# benchmark's 32 MiB zipf trace 2**14 and 2**15 peak alike and 2**16 and
+# 2**17 higher; on a 256 MiB cache 2**14 ran 10% slower than 2**15.
+_BLOCK_SLOTS = 1 << 15
 
 
 @dataclass
@@ -223,18 +235,25 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
     after the fold, each set's kept accesses are counted once, from the
     index bits, and then the kept block numbers are shifted to tags.
 
-    The kept accesses stay in set order.  The sets are rows ordered by
-    access count, busiest first, so the sets active in round r are a
-    prefix of the rows, and each row keeps a cursor at its next kept
-    access: round r reads and writes the accesses at the active rows'
-    cursors, then advances them.  The scalar tail finishes the remaining
-    rows one after another, each on its own contiguous span.
+    The kept accesses stay in set order.  The touched sets are rows
+    ordered by access count, busiest first, and go in consecutive blocks
+    of at most ``_BLOCK_SLOTS // ways`` rows, one after another: a block
+    computes its own rounds, gathers, runs them and its scalar tail, and
+    writes back before the next starts.  Within a block the sets active
+    in round r are a prefix of its rows, and each row keeps a cursor at
+    its next kept access: round r reads and writes the accesses at the
+    active rows' cursors, then advances them.  The scalar tail finishes
+    the block's remaining rows one after another, each on its own
+    contiguous span.  Round r stamps ``clock + r`` in every block, and
+    the clock advances by the first block's rounds, the most of any, so
+    blocks change no stamp; they bound the working copies and round
+    temporaries below by a block instead of the touched sets.
 
-    The rounds run on working copies of the state's columns, in row
-    order: tags of shape (ways, rows) and int64 codes
-    ``stamp << log2(ways) | way``, gathered once, decoded to stamps
-    before the scalar tail (which works on their transposed views) and
-    written back after it.
+    The rounds run on working copies of the block's state columns, in
+    row order: tags of shape (ways, rows) and int64 codes
+    ``stamp << log2(ways) | way``, gathered once per block, decoded to
+    stamps before the scalar tail (which works on their transposed
+    views) and written back after it.
     Round r uses the column prefix ``[:, :active[r]]``.  Codes order as
     stamps do, ties broken by way, so a set's least code is the way an
     access evicts: its empty ways first, in way order, then its least
@@ -289,69 +308,73 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
                               minlength=sets)
     request >>= config.index_bits
 
-    rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    # active[r]: sets with more than r kept accesses, i.e. the rows of round r
-    active = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
-    rounds = active.size
-    at = (np.cumsum(counts) - counts)[rows]  # each row's next access in set order
+    order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]  # busiest first
+    # busy[r]: sets with more than r kept accesses, a prefix of order
+    busy = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+    starts = (np.cumsum(counts) - counts)[order]  # each row's next access in set order
     del counts
 
-    # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
     shift = (ways - 1).bit_length()
     clock = state._clock
     way_column = np.arange(ways, dtype=np.int64)[:, None]
     hit_codes = way_column + np.iinfo(np.int64).min  # below every stamp code, in way order
-    # np.take, not state._tags[:, rows]: that copy is F-ordered, so every round would stride
-    tags = np.take(state._tags, rows, axis=1)
-    codes = np.take(state._ages, rows, axis=1)
-    codes <<= shift
-    codes |= way_column
-    all_valid = codes.min(initial=0) >= 0  # no empty way, so no mask (see above)
     hit = np.empty(request.size, dtype=bool) if want_outcomes else None
     hits = 0  # of the kept accesses
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
-    row_index = np.arange(rows.size)
     survivor_type = np.min_scalar_type(ways)
-    flat_tags, flat_codes = tags.reshape(-1), codes.reshape(-1)  # slot = way * rows + row
-    r = 0
-    while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
-        now = at[: active[r]]  # a view: the cursors advance in place below
-        t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[now]
-        diff = t ^ q
-        same = diff == 0
-        diff &= prefix_mask
-        match = diff == 0
-        del diff
-        if not all_valid:
-            valid = c >= 0
-            same &= valid
-            match &= valid
-        hits += int(np.count_nonzero(same))  # a set holds each tag at most once
-        survivors = np.add.reduce(match, axis=0, dtype=survivor_type)
-        histogram += np.bincount(survivors, None if weight is None else weight[now], ways + 1)
-        if want_outcomes:
-            hit[now] = same.any(axis=0)
-        np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
-        code = np.minimum.reduce(c, axis=0)
-        code &= ways - 1  # the hit way, else the LRU way
-        slot = code * rows.size
-        slot += row_index[: active[r]]
-        flat_tags[slot] = q
-        code |= (clock + r) << shift
-        flat_codes[slot] = code
-        now += 1
-        r += 1
-    codes >>= shift
-    if r < rounds:
-        # active never rises, so row i has as many kept accesses as rounds with active > i
-        tail = active[r]
-        ends = at[:tail] + np.searchsorted(-active, -np.arange(tail)) - r
-        hits += _scalar_tail(tags.T, codes.T, request, weight, hit, histogram,
-                             zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
-
-    state._tags[:, rows] = tags
-    state._ages[:, rows] = codes
-    state._clock = clock + rounds
+    block = max(1, _BLOCK_SLOTS // ways)  # rows per block
+    for lo in range(0, order.size, block):
+        rows, at = order[lo:lo + block], starts[lo:lo + block]  # at advances in place below
+        # active[r]: the block's rows with more than r kept accesses, i.e. the rows of round r
+        active = np.minimum(busy[busy > lo], lo + block) - lo
+        rounds = active.size
+        # Ways-major working copies, with codes[w, i] = stamp << shift | way (see above)
+        # np.take, not state._tags[:, rows]: that copy is F-ordered, so every round would stride
+        tags = np.take(state._tags, rows, axis=1)
+        codes = np.take(state._ages, rows, axis=1)
+        codes <<= shift
+        codes |= way_column
+        all_valid = codes.min(initial=0) >= 0  # no empty way, so no mask (see above)
+        row_index = np.arange(rows.size)
+        flat_tags, flat_codes = tags.reshape(-1), codes.reshape(-1)  # slot = way * rows + row
+        r = 0
+        while r < rounds and active[r] >= _SCALAR_TAIL_SETS:
+            now = at[: active[r]]  # a view: the cursors advance in place below
+            t, c, q = tags[:, : active[r]], codes[:, : active[r]], request[now]
+            diff = t ^ q
+            same = diff == 0
+            diff &= prefix_mask
+            match = diff == 0
+            del diff
+            if not all_valid:
+                valid = c >= 0
+                same &= valid
+                match &= valid
+            hits += int(np.count_nonzero(same))  # a set holds each tag at most once
+            survivors = np.add.reduce(match, axis=0, dtype=survivor_type)
+            histogram += np.bincount(survivors, None if weight is None else weight[now], ways + 1)
+            if want_outcomes:
+                hit[now] = same.any(axis=0)
+            np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
+            code = np.minimum.reduce(c, axis=0)
+            code &= ways - 1  # the hit way, else the LRU way
+            slot = code * rows.size
+            slot += row_index[: active[r]]
+            flat_tags[slot] = q
+            code |= (clock + r) << shift
+            flat_codes[slot] = code
+            now += 1
+            r += 1
+        codes >>= shift
+        if r < rounds:
+            # active never rises, so row i has as many kept accesses as rounds with active > i
+            tail = active[r]
+            ends = at[:tail] + np.searchsorted(-active, -np.arange(tail)) - r
+            hits += _scalar_tail(tags.T, codes.T, request, weight, hit, histogram,
+                                 zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
+        state._tags[:, rows] = tags
+        state._ages[:, rows] = codes
+    state._clock = clock + busy.size  # the first block's rounds, the most of any
     hits += accesses - request.size  # every folded access hits
     if want_outcomes:
         in_order = np.ones(accesses, dtype=bool)  # folded accesses hit

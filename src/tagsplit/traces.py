@@ -244,10 +244,29 @@ def as_addresses(addresses, address_bits: int = 64) -> np.ndarray:
 
 
 def write_trace_text(path, addresses) -> None:
-    addresses = as_addresses(addresses)
-    with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, addresses.size, _TEXT_CHUNK):
-            fh.writelines(f"{a:x}\n" for a in addresses[start : start + _TEXT_CHUNK].tolist())
+    _write_slices(path, (as_addresses(addresses),), binary=False)
+
+
+def _write_slices(path, slices, binary: bool) -> int:
+    """Write a trace given as consecutive checked uint64 slices, each as
+    it is reached, to a binary or text trace file; the number of addresses.
+
+    A binary slice is written from its own buffer, without a copy; a text
+    one goes _TEXT_CHUNK addresses at a time.  So the file never needs
+    more than one slice in memory (see cli.cmd_gen_trace).
+    """
+    written = 0
+    with open(path, "wb") if binary else open(path, "w", encoding="ascii") as fh:
+        for addresses in slices:
+            if binary:
+                fh.write(np.ascontiguousarray(addresses, dtype=_WORD).data)
+            else:
+                for start in range(0, addresses.size, _TEXT_CHUNK):
+                    fh.writelines(
+                        f"{a:x}\n" for a in addresses[start : start + _TEXT_CHUNK].tolist())
+            written += addresses.size
+            del addresses  # so that the next slice is drawn beside no other
+    return written
 
 
 def _line_blocks(fh):
@@ -360,9 +379,7 @@ def read_trace_text(path) -> np.ndarray:
 
 
 def write_trace_binary(path, addresses) -> None:
-    addresses = as_addresses(addresses)
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(addresses, dtype=_WORD).data)
+    _write_slices(path, (as_addresses(addresses),), binary=True)
 
 
 def read_trace_binary(path) -> np.ndarray:

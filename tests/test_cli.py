@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from tagsplit import cli
 from tagsplit.costs import load_params, mttf_from_bits
 from tagsplit.optimum import k_min_integer
-from tagsplit.traces import generate_trace
+from tagsplit.traces import generate_trace, read_trace_binary, read_trace_text
 from tagsplit.cli import (
     CURVE_COLUMNS,
     SIM_COLUMNS,
@@ -713,7 +713,7 @@ class TestGenTrace:
         def generate(*args, **params):
             raise AssertionError("generated a trace for an unusable output path")
 
-        monkeypatch.setattr(cli, "generate_trace", generate)
+        monkeypatch.setattr(cli, "_trace_slices", generate)
         out = tmp_path / "t.csv"
         code = main(["gen-trace", "--kind", "uniform", "--length", "10", "--out", str(out)])
         assert code == 2
@@ -723,20 +723,41 @@ class TestGenTrace:
     def test_a_trace_too_large_for_memory_exits_2_naming_the_allocation(
         self, tmp_path, monkeypatch, capsys
     ):
-        # numpy's message; the test never asks for such an allocation, as
-        # under memory overcommit it could succeed and the fill then exhaust memory
-        refusal = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
-                   "and data type uint64")
+        # numpy's message for a zipf population's cdf, which _trace_slices
+        # builds before the file is opened; the test never asks for such an
+        # allocation, as under memory overcommit it could succeed and the
+        # fill then exhaust memory
+        refusal = ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                   "and data type float64")
 
         def generate(*args, **params):
             raise MemoryError(refusal)
 
-        monkeypatch.setattr(cli, "generate_trace", generate)
+        monkeypatch.setattr(cli, "_trace_slices", generate)
         out = tmp_path / "t.bin"
-        code = main(["gen-trace", "--kind", "uniform", "--length", "10000000000000",
-                     "--out", str(out)])
+        code = main(["gen-trace", "--kind", "zipf-block", "--num-blocks", "1099511627776",
+                     "--addr-bits", "64", "--out", str(out)])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {refusal}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, bound", [("t.bin", 3), ("t.trace", 6)])
+    def test_a_trace_is_written_one_slice_at_a_time(self, tmp_path, name, bound, capsys):
+        # the whole trace alone took 8 B per address: 8.05 in all to .bin and
+        # 10.7 to .trace, where one 2**16-address chunk's list adds 2.5 MiB;
+        # one 2**18-address slice at a time, 2.17 and 4.83
+        out = tmp_path / name
+        args = ["gen-trace", "--kind", "uniform", "--out", str(out), "--length"]
+        assert main([*args, "1"]) == 0  # first-call imports and allocations
+        tracemalloc.start()
+        try:
+            assert main([*args, "1000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1_000_000 < bound
+        assert capsys.readouterr().out.endswith(f"wrote 1000000 addresses to {out}\n")
+        read = read_trace_binary if name.endswith(".bin") else read_trace_text
+        assert np.array_equal(read(out), generate_trace("uniform", 1_000_000))
 
 
 class TestSimulate:

@@ -294,16 +294,27 @@ class TestRatioColumns:
         )
 
     def test_the_baseline_energy_is_computed_once(self, monkeypatch):
-        energies = []
+        energies, checked = [], []
 
         def counting(bits, accesses, params):
             energies.append(bits)
-            return model_tag_energy(bits, accesses, params)
+            return model_energy(bits, accesses, params)
 
-        model_tag_energy = costs_module.tag_energy
-        monkeypatch.setattr(costs_module, "tag_energy", counting)
+        def checking(name, value, low=None):
+            checked.append(name)
+            return model_check(name, value, low)
+
+        model_energy, model_check = costs_module._energy, costs_module._check_double_int
+        monkeypatch.setattr(costs_module, "_energy", counting)
+        monkeypatch.setattr(costs_module, "_check_double_int", checking)
         ratio_columns([32.5, 41.5, 60.0], 184, 1, PARAMS)
         assert energies == [32.5, 184, 41.5, 60.0]
+        # accesses is checked by the first run's and the baseline's tag_energy,
+        # in their order, and once for the other cells: per column, not per cell
+        assert checked == ["accesses"] * 3
+        checked.clear()
+        ratio_columns([32.5] * 1000, 184, 1, PARAMS)
+        assert checked == ["accesses"] * 3
 
 
 class TestParamFile:

@@ -423,14 +423,20 @@ TAIL_THRESHOLDS = (0, sim._SCALAR_TAIL_SETS, 1 << 30)
 CHUNK_LENGTHS = (1, 3, sim._KEY_CHUNK)
 # accesses per slice of a trace, one fold each: tiny, so traces span many
 SLICE_LENGTHS = (1, 3, sim._TRACE_CHUNK)
+# state slots per block of a fold's rows: one row a block; a few rows a block,
+# so every DIFFERENTIAL_CONFIGS geometry of more than one way and one set
+# spans several; and the engine's own
+BLOCK_SLOTS = (1, 64, sim._BLOCK_SLOTS)
 
 
 def assert_engine_matches_reference(config, k, start, prefix, trace, tail,
-                                    chunk=sim._KEY_CHUNK, slice_length=sim._TRACE_CHUNK) -> None:
+                                    chunk=sim._KEY_CHUNK, slice_length=sim._TRACE_CHUNK,
+                                    block=sim._BLOCK_SLOTS) -> None:
     """run_trace and trace_outcomes leave what the reference leaves, state for state."""
     with mock.patch.object(sim, "_SCALAR_TAIL_SETS", tail), \
             mock.patch.object(sim, "_KEY_CHUNK", chunk), \
-            mock.patch.object(sim, "_TRACE_CHUNK", slice_length):
+            mock.patch.object(sim, "_TRACE_CHUNK", slice_length), \
+            mock.patch.object(sim, "_BLOCK_SLOTS", block):
         slow, fast, fast_outcomes = (CacheState(config, k) for _ in range(3))
         if start == "used":
             reference_fold(slow, prefix)
@@ -469,6 +475,7 @@ class TestDifferential:
             data.draw(st.sampled_from(TAIL_THRESHOLDS), label="tail"),
             data.draw(st.sampled_from(CHUNK_LENGTHS), label="chunk"),
             data.draw(st.sampled_from(SLICE_LENGTHS), label="slice"),
+            data.draw(st.sampled_from(BLOCK_SLOTS), label="block"),
         )
 
     @pytest.mark.parametrize("tail", TAIL_THRESHOLDS)
@@ -483,8 +490,9 @@ class TestDifferential:
         trace = data.draw(differential_traces(config, ("repeat runs",)), label="trace")
         chunk = data.draw(st.sampled_from(CHUNK_LENGTHS), label="chunk")
         slice_length = data.draw(st.sampled_from(SLICE_LENGTHS), label="slice")
+        block = data.draw(st.sampled_from(BLOCK_SLOTS), label="block")
         assert_engine_matches_reference(config, k, start, prefix, trace, tail, chunk,
-                                        slice_length)
+                                        slice_length, block)
 
     def test_a_repeated_address_costs_two_rounds(self):
         repeats = 10**5
@@ -550,9 +558,12 @@ class TestScalarTail:
         assert min(seconds) < 0.2
 
 
-def run_trace_peak_per_access(trace) -> float:
-    """run_trace's tracemalloc peak beside the trace, per access, on a warm 1 MiB cache."""
-    config = CacheConfig(cache_size=1 << 20, block_size=64, associativity=8, address_bits=40)
+MIB_8_WAY = CacheConfig(cache_size=1 << 20, block_size=64, associativity=8, address_bits=40)
+
+
+def run_trace_peak_per_access(trace, config=MIB_8_WAY) -> float:
+    """run_trace's tracemalloc peak beside the trace and the state, per access,
+    on a warm cache (by default of 1 MiB)."""
     state = CacheState(config, k=4)
     warm_fill(state)
     tracing = tracemalloc.is_tracing()
@@ -595,6 +606,43 @@ class TestTraceMove:
         # One slice's gather of its kept accesses sets the peak: 3.61.
         trace = zipf_block_trace(10**6, seed=0, address_bits=40)
         assert run_trace_peak_per_access(trace) < 5
+
+    def test_peak_memory_stops_growing_with_the_sets_a_slice_touches(self):
+        # A warm 32 MiB 8-way cache has 65,536 sets, and this trace touches
+        # about 25k of them.  The rounds go in blocks of _BLOCK_SLOTS // 8 rows,
+        # so their working copies and temporaries are a block's, and the peak
+        # read 11.6 bytes per access; as one block of every touched row, 27.7.
+        config = CacheConfig(cache_size=32 << 20, block_size=64, associativity=8, address_bits=40)
+        trace = zipf_block_trace(250_000, seed=0, num_blocks=1 << 20, address_bits=40)
+        touched = np.unique((trace >> np.uint64(config.offset_bits)) % config.sets).size
+        assert touched > 4 * sim._BLOCK_SLOTS // config.associativity
+        assert run_trace_peak_per_access(trace, config) < 16
+
+
+class TestBlocks:
+    """A fold runs its rounds over blocks of rows; no block boundary changes a result."""
+
+    @pytest.mark.parametrize("block", BLOCK_SLOTS)
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("kind", TRACE_KINDS)
+    def test_blocks_change_nothing_not_even_the_stamps(self, kind, start, block):
+        # 4096 sets of 16 ways: two blocks of 2048 rows at the engine's budget.
+        # A set's j-th kept access takes stamp clock + j in every block, so the
+        # raw stamps equal those of one block of every row.
+        config = CacheConfig(cache_size=4 << 20, block_size=64, associativity=16, address_bits=40)
+        trace = generate_trace(kind, 20_000, seed=16, address_bits=40)
+        touched = np.unique((trace >> np.uint64(config.offset_bits)) % config.sets).size
+        assert touched > sim._BLOCK_SLOTS // config.associativity
+        results = []
+        for slots in (1 << 40, block):  # one block, then the budget under test
+            state = CacheState(config, 5)
+            if start == "warm":
+                warm_fill(state)
+            with mock.patch.object(sim, "_BLOCK_SLOTS", slots):
+                # the second run starts from the state the first left
+                runs = run_trace(state, trace), trace_outcomes(state, trace[::-1])
+            results.append((runs, state._tags.tolist(), state._ages.tolist(), state._clock))
+        assert results[1] == results[0]
 
 
 class TestKeyChunks:
@@ -653,16 +701,27 @@ class TestTraceSlices:
         assert_engine_matches_reference(TINY, 3, start, prefix, trace, tail,
                                         slice_length=slice_length)
 
+    @pytest.mark.parametrize("block", BLOCK_SLOTS)
     @pytest.mark.parametrize("slice_length", [1, 3, 700])
-    def test_a_hot_set_spans_slices_inside_the_scalar_tail(self, slice_length):
+    def test_a_hot_set_spans_slices_inside_the_scalar_tail(self, slice_length, block):
         config = DIFFERENTIAL_CONFIGS[2]  # 64 sets of 4 ways, so most slices end in the tail
         trace = hot_set_trace(config, 3000, random.Random(19))
-        slices = -(-len(trace) // slice_length)
+        starts = range(0, len(trace), slice_length)
+        # each (slice, block) pair ends in one tail: at the engine's budget a
+        # slice's sets make one block, which the hot set keeps going into the
+        # tail; at the others a block holds fewer rows than a round needs
+        rows = max(1, block // config.associativity)
+        assert rows >= config.sets if block == sim._BLOCK_SLOTS else rows < sim._SCALAR_TAIL_SETS
+        touched = [len({(a >> config.offset_bits) % config.sets for a in trace[lo:lo + slice_length]})
+                   for lo in starts]
+        blocks = sum(-(-sets // rows) for sets in touched)
         with mock.patch.object(sim, "_scalar_tail", wraps=sim._scalar_tail) as tail:
-            assert_engine_matches_reference(config, 2, "warm", None, trace,
-                                            sim._SCALAR_TAIL_SETS, slice_length=slice_length)
-        # run_trace and trace_outcomes: one tail per slice, the hot set finished there
-        assert tail.call_count == 2 * slices
+            assert_engine_matches_reference(config, 2, "warm", None, trace, sim._SCALAR_TAIL_SETS,
+                                            slice_length=slice_length, block=block)
+        # run_trace and trace_outcomes: one tail per slice and block, the hot set finished there
+        assert tail.call_count == 2 * blocks
+        if block == sim._BLOCK_SLOTS:
+            assert blocks == len(starts)  # one tail per slice
 
     @pytest.mark.parametrize("kind", TRACE_KINDS)
     def test_slices_change_nothing_but_the_stamps(self, kind):
