@@ -20,12 +20,13 @@ digits, and JSON lines writes their shortest round-trip repr, so
 identical invocations produce byte-identical files.  A simulate report
 line named like an --out column prints that column's CSV cell.
 
-simulate --gen draws its trace one slice of at most 2**18 addresses
-(sim._TRACE_CHUNK) at a time and folds each slice before the next is
-drawn, and gen-trace writes each slice before the next is drawn, so
-either holds one slice, not the trace; a trace file, and the one trace
-per address width that every sweep --simulate row reuses, are held
-whole.
+simulate --gen and gen-trace take their trace from one _generated,
+which checks the generator flags through traces._trace_slices and
+draws the trace one slice of at most 2**18 addresses (sim._TRACE_CHUNK)
+at a time; simulate folds each slice, and gen-trace writes it, before
+the next is drawn, so either holds one slice, not the trace.  A trace
+file, and the one trace per address width that every sweep --simulate
+row reuses (generate_trace), are held whole.
 
 Every output file is written through one encoder per format
 (_encoder), which turns rows to text a column at a time.  A sweep
@@ -399,13 +400,9 @@ def _simulated_run(config: CacheConfig, run: dict, trace) -> dict:
     return {**run, **{name: [row[name] for row in rows] for name in _SIM_COLUMNS}}
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"not true or false: {text!r}")
-    return text == "true"
-
-
-_CELL_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+# a parsed cell must read back as its text (read_sweep_csv), which refuses
+# every bool spelling but true and false
+_CELL_PARSERS = {"int": int, "float": float, "bool": "true".__eq__}
 
 # (column, cell parser, whether the cell may be empty) from SweepRow's field
 # annotations, which are strings under postponed evaluation; only the
@@ -419,12 +416,13 @@ _SWEEP_CELLS = tuple(
 def read_sweep_csv(path) -> list[SweepRow]:
     """Load a sweep CSV, re-deriving every row through the sweep's own evaluation.
 
-    Every derived column is compared with the row's cell exactly: a
-    float cell carries 17 significant digits, so it reads back as the
-    double that was written.  energy_ratio needs the cost parameters and
-    is not checked, but mttf_ratio must be filled exactly when
-    energy_ratio is, as the sweep writes the two together.  Malformed
-    input raises ValueError naming the path, line and column.
+    A cell must be spelled exactly as the sweep writes its value
+    (format_value), and every derived column is compared with the row's
+    cell exactly: a float cell carries 17 significant digits, so it
+    reads back as the double that was written.  energy_ratio needs the
+    cost parameters and is not re-derived, but mttf_ratio must be filled
+    exactly when energy_ratio is, as the sweep writes the two together.
+    Malformed input raises ValueError naming the path, line and column.
     """
     import csv  # imported where used, so that no other command loads it
 
@@ -447,9 +445,13 @@ def read_sweep_csv(path) -> list[SweepRow]:
             values = []
             for (name, parse, optional), text in zip(_SWEEP_CELLS, cells):
                 try:
-                    values.append(None if optional and text == "" else parse(text))
+                    value = None if optional and text == "" else parse(text)
+                    # int() and float() take spellings such as 1_024, " 2" and +4
+                    if format_value(value) != text:
+                        raise ValueError(f"not a cell the sweep writes: {text!r}")
                 except ValueError as exc:
                     raise ValueError(f"{where}, column {name}: {exc}") from None
+                values.append(value)
             row = SweepRow(*values)
             try:
                 config = CacheConfig(
@@ -520,10 +522,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _generator_keywords(args) -> dict:
-    """The generate_trace keywords of the generator flags of simulate and gen-trace."""
-    return dict(address_bits=args.addr_bits, block_size=args.block, stride=args.stride,
-                base=args.base, exponent=args.zipf_exponent, num_blocks=args.num_blocks)
+def _generated(args, kind: str):
+    """The kind's trace of the generator flags of simulate and gen-trace, as
+    slices of at most sim._TRACE_CHUNK addresses, each drawn when the
+    iterator reaches it; the flags are checked by this call."""
+    return _trace_slices(_TRACE_CHUNK, kind, args.length, args.seed, address_bits=args.addr_bits,
+                         block_size=args.block, stride=args.stride, base=args.base,
+                         exponent=args.zipf_exponent, num_blocks=args.num_blocks)
 
 
 def _is_binary_trace(path: str) -> bool:
@@ -538,16 +543,14 @@ def _is_binary_trace(path: str) -> bool:
 def _load_trace(args, address_bits: int):
     """The trace of simulate's flags as consecutive slices (see _checked_run).
 
-    A generated trace is drawn one slice of at most sim._TRACE_CHUNK
-    addresses at a time, as the slices are iterated, so a run holds one
-    slice, not the trace; its flags are checked by this call.  A trace
+    A generated trace comes from _generated, so a run holds one slice,
+    not the trace, and its flags are checked by this call.  A trace
     file is read whole, as one slice, its addresses checked to fit in
     address_bits, with the file's path in front of the error that names
     the first one outside.
     """
     if args.trace is None:
-        return _trace_slices(_TRACE_CHUNK, args.gen, args.length, args.seed,
-                             **_generator_keywords(args))
+        return _generated(args, args.gen)
     read = read_trace_binary if _is_binary_trace(args.trace) else read_trace_text
     trace = read(args.trace)
     try:
@@ -617,9 +620,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gen_trace(args) -> int:
     binary = _is_binary_trace(args.out)
-    slices = _trace_slices(_TRACE_CHUNK, args.kind, args.length, args.seed,
-                           **_generator_keywords(args))
-    count = _write_slices(args.out, slices, binary)
+    count = _write_slices(args.out, _generated(args, args.kind), binary)
     print(f"wrote {count} addresses to {args.out}")
     return 0
 

@@ -148,7 +148,8 @@ def ratio_columns(
 
 
 def load_params(path) -> CostParams:
-    """Read the flat JSON parameter file (all PARAM_KEYS required, SI units)."""
+    """Read the flat JSON parameter file (all PARAM_KEYS required, SI units);
+    every refusal, CostParams' too, starts with the path."""
     import json  # imported where used, so that a run without parameters never loads it
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -173,4 +174,7 @@ def load_params(path) -> CostParams:
             values.append(float(value))
         except OverflowError:
             raise ValueError(f"{path}: {key} is too large for a float") from None
-    return CostParams(*values)
+    try:
+        return CostParams(*values)
+    except ValueError as exc:  # a value out of its range, or no energy at all
+        raise ValueError(f"{path}: {exc}") from None

@@ -4,7 +4,11 @@ Three generators cover the access patterns used to exercise the
 simulator: independent uniform addresses, a fixed-stride walk, and a
 Zipf distribution over block indices for a skewed working set.  The
 uniform and zipf-block traces are deterministic for a given seed; the
-stride walk takes no seed.
+stride walk takes no seed.  Every generated trace comes from one
+function, _trace_slices, which checks the generator's arguments and
+draws the trace in slices: generate_trace, and the three named
+generators that call it, take its one slice, and the CLI writes or
+simulates one slice at a time.
 
 Two interchange formats are supported: a text format with one
 hexadecimal byte address per line (written in lower case without a
@@ -58,61 +62,14 @@ class TraceParseError(ValueError):
     """A trace file does not conform to the text or binary format."""
 
 
-def _check_length(length: int) -> int:
-    if _check_int("trace length", length) < 1:
-        raise ValueError(f"trace length must be a positive integer, got {length!r}")
-    return int(length)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(_check_int("seed", seed, 0))
-
-
-def _address_mask(address_bits: int) -> np.uint64:
-    address_bits = _check_int("address_bits", address_bits)
-    if not 1 <= address_bits <= 64:
-        raise ValueError(f"generated addresses must fit in 1..64 bits, got {address_bits!r}")
-    return np.uint64((1 << address_bits) - 1)
-
-
 def uniform_trace(length: int, seed: int, address_bits: int = 40) -> np.ndarray:
     """Independent addresses uniform over the whole address space."""
-    length = _check_length(length)
-    return _uniform_draw(seed, address_bits)(length)
-
-
-def _uniform_draw(seed: int, address_bits: int):
-    """The uniform kind's draw: draw(count) is the next count addresses of one rng."""
-    high = int(_address_mask(address_bits))
-    rng = _rng(seed)
-    return lambda count: rng.integers(0, high, size=count, dtype=np.uint64, endpoint=True)
+    return generate_trace("uniform", length, seed, address_bits=address_bits)
 
 
 def stride_trace(length: int, stride: int = 64, base: int = 0, address_bits: int = 40) -> np.ndarray:
     """Arithmetic walk base, base+stride, ... wrapping at the address-space size."""
-    length = _check_length(length)
-    return _stride_draw(stride, base, address_bits)(length)
-
-
-def _stride_draw(stride: int, base: int, address_bits: int):
-    """The stride kind's draw: draw(count) is the walk's next count addresses."""
-    mask = _address_mask(address_bits)
-    stride, base = _check_int("stride", stride, 1), _check_int("base", base, 0)
-    # uint64 arithmetic wraps mod 2**64; masking afterwards yields
-    # mod 2**address_bits because address_bits <= 64
-    start, step = np.uint64(base % (1 << 64)), np.uint64(stride % (1 << 64))
-    drawn = 0
-
-    def draw(count: int) -> np.ndarray:
-        nonlocal drawn
-        walk = np.arange(drawn, drawn + count, dtype=np.uint64)
-        drawn += count
-        walk *= step
-        walk += start
-        walk &= mask
-        return walk
-
-    return draw
+    return generate_trace("stride", length, stride=stride, base=base, address_bits=address_bits)
 
 
 def zipf_block_trace(
@@ -134,82 +91,87 @@ def zipf_block_trace(
     place, so one population-sized array is held; the draws are those of
     ``Generator.choice(num_blocks, length, p=weights / weights.sum())``.
     """
-    length = _check_length(length)
-    return _zipf_block_draw(seed, exponent, num_blocks, block_size, address_bits)(length)
-
-
-def _zipf_block_draw(seed: int, exponent: float, num_blocks: int, block_size: int,
-                     address_bits: int):
-    """The zipf-block kind's draw: draw(count) is the next count addresses of one rng."""
-    mask = _address_mask(address_bits)
-    if not _check_real("exponent", exponent) > 0.0:
-        raise ValueError(f"zipf exponent must be > 0, got {exponent!r}")
-    num_blocks, block_size = _check_int("num_blocks", num_blocks), _check_int("block_size", block_size)
-    if num_blocks < 1 or block_size < 1:
-        raise ValueError("num_blocks and block_size must be >= 1")
-    if num_blocks * block_size - 1 > int(mask):
-        raise ValueError(
-            f"footprint {num_blocks} blocks * {block_size} B exceeds the "
-            f"{address_bits}-bit address space"
-        )
-    weights = np.arange(1, num_blocks + 1, dtype=np.float64)
-    weights **= -float(exponent)
-    weights /= weights.sum()
-    # Generator.choice(num_blocks, count, p=weights) builds this cdf and
-    # searches it for count uniform draws; here it is built once, in place
-    # of the weights, not once per draw
-    cdf = np.cumsum(weights, out=weights)
-    cdf /= cdf[-1]
-    rng = _rng(seed)
-    return lambda count: (cdf.searchsorted(rng.random(count), side="right").astype(np.uint64)
-                          * np.uint64(block_size))
-
-
-def _draw(kind: str, length: int, seed: int, address_bits: int, block_size: int, stride: int,
-          base: int, exponent: float, num_blocks: int):
-    """(length, draw) of generate_trace's arguments: the length, checked,
-    and the kind's draw, whose calls continue one trace.
-
-    The arguments are checked here, in generate_trace's order: the kind,
-    the length, then the kind's own keywords.
-    """
-    if kind not in TRACE_KINDS:
-        raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
-    length = _check_length(length)
-    if kind == "uniform":
-        return length, _uniform_draw(seed, address_bits)
-    if kind == "stride":
-        return length, _stride_draw(stride, base, address_bits)
-    return length, _zipf_block_draw(seed, exponent, num_blocks, block_size, address_bits)
+    return generate_trace("zipf-block", length, seed, exponent=exponent, num_blocks=num_blocks,
+                          block_size=block_size, address_bits=address_bits)
 
 
 def generate_trace(
     kind: str, length: int, seed: int = 0, *, address_bits: int = 40, block_size: int = 64,
     stride: int = 64, base: int = 0, exponent: float = 1.2, num_blocks: int = 1 << 18,
 ) -> np.ndarray:
-    """A trace of one of the named generators (see TRACE_KINDS).
+    """A trace of one of the named generators (see TRACE_KINDS): the one
+    slice of _trace_slices, which checks the arguments.
 
     Each kind reads its own keywords and ignores, unchecked, the rest:
     uniform reads seed and address_bits; stride reads stride, base and
     address_bits; zipf-block reads seed, exponent, num_blocks,
     block_size and address_bits.
     """
-    length, draw = _draw(kind, length, seed, address_bits, block_size, stride, base, exponent,
-                         num_blocks)
-    return draw(length)
+    (trace,) = _trace_slices(None, kind, length, seed, address_bits, block_size, stride, base,
+                             exponent, num_blocks)
+    return trace
 
 
-def _trace_slices(slice_length: int, kind: str, length: int, seed: int, **keywords):
-    """generate_trace(kind, length, seed, **keywords) as consecutive slices of
-    at most slice_length addresses, each drawn when the iterator reaches it.
+def _trace_slices(slice_length, kind: str, length: int, seed: int, address_bits: int,
+                  block_size: int, stride: int, base: int, exponent: float, num_blocks: int):
+    """generate_trace's trace as consecutive slices of at most slice_length
+    addresses (None: one slice), each drawn when the iterator reaches it.
 
-    Every argument is checked by this call, before the first slice is
-    drawn.  A draw continues its rng or its walk from where the previous
-    one stopped, so the slices, joined, are generate_trace's trace (the
-    tests check this across slice lengths and address widths).
+    This is the one check of a generator's arguments, made by this call,
+    before the first slice is drawn: the kind, the length, then the
+    kind's own keywords, address_bits first.  The kind's draw(lo, count)
+    gives the trace's addresses lo .. lo + count - 1: the uniform and
+    zipf-block draws continue one rng from where the previous draw
+    stopped, and the stride walk starts at step lo.  So the slices,
+    joined, are the same trace for every slice_length (the tests check
+    this across slice lengths and address widths).
     """
-    length, draw = _draw(kind, length, seed, **keywords)
-    return (draw(min(slice_length, length - lo)) for lo in range(0, length, slice_length))
+    if kind not in TRACE_KINDS:
+        raise ValueError(f"unknown trace kind {kind!r}; expected one of {', '.join(TRACE_KINDS)}")
+    length = _check_int("trace length", length, 1)
+    address_bits = _check_int("address_bits", address_bits)
+    if not 1 <= address_bits <= 64:
+        raise ValueError(f"generated addresses must fit in 1..64 bits, got {address_bits!r}")
+    mask = np.uint64((1 << address_bits) - 1)
+    if kind == "stride":
+        # uint64 arithmetic wraps mod 2**64; masking afterwards yields
+        # mod 2**address_bits because address_bits <= 64
+        step = np.uint64(_check_int("stride", stride, 1) % (1 << 64))
+        start = np.uint64(_check_int("base", base, 0) % (1 << 64))
+
+        def draw(lo: int, count: int) -> np.ndarray:
+            walk = np.arange(lo, lo + count, dtype=np.uint64)
+            walk *= step
+            walk += start
+            walk &= mask
+            return walk
+
+    elif kind == "uniform":
+        high, rng = int(mask), np.random.default_rng(_check_int("seed", seed, 0))
+        draw = lambda lo, count: rng.integers(0, high, size=count, dtype=np.uint64, endpoint=True)
+    else:
+        if not _check_real("exponent", exponent) > 0.0:
+            raise ValueError(f"zipf exponent must be > 0, got {exponent!r}")
+        num_blocks = _check_int("num_blocks", num_blocks, 1)
+        block_size = _check_int("block_size", block_size, 1)
+        if num_blocks * block_size - 1 > int(mask):
+            raise ValueError(
+                f"footprint {num_blocks} blocks * {block_size} B exceeds the "
+                f"{address_bits}-bit address space"
+            )
+        rng = np.random.default_rng(_check_int("seed", seed, 0))
+        weights = np.arange(1, num_blocks + 1, dtype=np.float64)
+        weights **= -float(exponent)
+        weights /= weights.sum()
+        # Generator.choice(num_blocks, count, p=weights) builds this cdf and
+        # searches it for count uniform draws; here it is built once, in place
+        # of the weights, not once per draw
+        cdf = np.cumsum(weights, out=weights)
+        cdf /= cdf[-1]
+        draw = lambda lo, count: (cdf.searchsorted(rng.random(count), side="right")
+                                  .astype(np.uint64) * np.uint64(block_size))
+    slice_length = slice_length or length
+    return (draw(lo, min(slice_length, length - lo)) for lo in range(0, length, slice_length))
 
 
 def _index(address) -> int:

@@ -359,7 +359,8 @@ class TestSweep:
         out = self.run(tmp_path)
         lines = out.read_text().splitlines()
         cells = lines[1].split(",")
-        cells[SWEEP_COLUMNS.index("total_bits")] = "999.0"
+        # spelled as the sweep writes 999.0, so that the self-check, not the cell rule, refuses it
+        cells[SWEEP_COLUMNS.index("total_bits")] = "999"
         lines[1] = ",".join(cells)
         out.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="self-check: total_bits"):
@@ -455,9 +456,23 @@ class TestSweep:
             (lambda cells: cells[:4] + [""] + cells[5:], ", column tag_bits: invalid literal"),
             (lambda cells: cells[:12] + ["True"] + cells[13:], ", column is_round_of_continuous:"),
             (lambda cells: cells[:1] + ["3"] + cells[2:], ": associativity must be"),
+            # spellings that int() and float() take but the sweep never writes
+            (lambda cells: [f"{int(cells[0]):_}"] + cells[1:],
+             ", column cache_size: not a cell the sweep writes: '262_144'"),
+            (lambda cells: cells[:1] + [" " + cells[1]] + cells[2:],
+             ", column associativity: not a cell the sweep writes: ' 4'"),
+            (lambda cells: cells[:2] + ["+" + cells[2]] + cells[3:],
+             ", column address_bits: not a cell the sweep writes: '+32'"),
+            (lambda cells: cells[:8] + [cells[8] + "e0"] + cells[9:],
+             ", column total_bits: not a cell the sweep writes: "),
+            (lambda cells: cells[:15] + ["1e400", "1"], ", column energy_ratio: not a cell"),
+            (lambda cells: cells[:15] + ["NaN", "1"], ", column energy_ratio: not a cell"),
+            (lambda cells: cells[:15] + [" 0.5", "1"], ", column energy_ratio: not a cell"),
         ],
         ids=["truncated", "truncated-optional", "extra-cell", "bad-float", "empty-int",
-             "bool-spelling", "bad-config"],
+             "bool-spelling", "bad-config", "int-underscore", "int-padded", "int-plus",
+             "float-exponent", "energy-ratio-overflow", "energy-ratio-NaN",
+             "energy-ratio-padded"],
     )
     def test_read_back_names_the_line_and_column_of_malformed_rows(self, tmp_path, edit, message):
         out = self.run(tmp_path)
@@ -472,8 +487,8 @@ class TestSweep:
         # a 1-bit tag has no optimum; the row's k beyond the tag is named first
         row = {**dict.fromkeys(SWEEP_COLUMNS, ""), "cache_size": "262144", "associativity": "8",
                "address_bits": "16", "block_size": "64", "tag_bits": "1", "k": "5",
-               "first_step_bits": "40", "expected_second_step_bits": "0.0",
-               "total_bits": "40.0", "reduction_ratio": "5.0", "k_optimal": "1.0",
+               "first_step_bits": "40", "expected_second_step_bits": "0",
+               "total_bits": "40", "reduction_ratio": "5", "k_optimal": "1",
                "k_min": "1", "is_round_of_continuous": "true"}
         path = tmp_path / "one-bit.csv"
         path.write_text(",".join(SWEEP_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
@@ -1065,7 +1080,7 @@ FAILING_WRITES = {
     ),
     "gen-trace": (
         ["gen-trace", "--kind", "uniform", "--length", "0"],
-        "out.trace", None, 2, "trace length must be a positive integer",
+        "out.trace", None, 2, "trace length must be >= 1, got 0",
     ),
 }
 

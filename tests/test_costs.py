@@ -394,3 +394,27 @@ class TestParamFile:
         payload = dict(self.GOOD, energy_per_bit_read=0)
         with pytest.raises(ValueError, match="are all 0"):
             load_params(self.write(tmp_path, payload))
+
+    # every way a file is refused: by load_params itself, or by CostParams
+    # on values that load_params read
+    REFUSED = {
+        "malformed-json": "{broken",
+        "non-object": "[1, 2]",
+        "missing-key": '{"leakage_power": 0}',
+        "string": json.dumps(dict(GOOD, leakage_power="0")),
+        "bool": json.dumps(dict(GOOD, p_read_disturb=True)),
+        "huge-integer": json.dumps(GOOD).replace("1.5", "1" + "0" * 400),
+        "p-above-one": json.dumps(dict(GOOD, p_read_disturb=1.5)),
+        "p-nan": json.dumps(GOOD).replace("1e-12}", "NaN}"),
+        "p-overflow": json.dumps(GOOD).replace("1e-12}", "1e400}"),
+        "negative-energy": json.dumps(dict(GOOD, leakage_power=-1.0)),
+        "zero-time": json.dumps(dict(GOOD, execution_time=0)),
+        "zero-energy": json.dumps(dict(GOOD, energy_per_bit_read=0)),
+    }
+
+    @pytest.mark.parametrize("payload", REFUSED.values(), ids=REFUSED.keys())
+    def test_every_refusal_names_the_file(self, tmp_path, payload):
+        path = self.write(tmp_path, payload)
+        with pytest.raises(ValueError) as info:
+            load_params(path)
+        assert str(info.value).startswith(f"{path}: ")

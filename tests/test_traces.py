@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsplit import traces
+from tagsplit import sim, traces
 from tagsplit.traces import (
     TraceParseError,
     generate_trace,
@@ -121,7 +121,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("length", [0, -5])
     def test_rejects_empty_traces(self, length):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=f"^trace length must be >= 1, got {length}$"):
             uniform_trace(length, seed=0)
 
     @pytest.mark.parametrize("generator", [uniform_trace, zipf_block_trace])
@@ -134,8 +134,11 @@ class TestGenerators:
             zipf_block_trace(10, seed=0, exponent=0.0)
 
     def test_rejects_an_empty_zipf_population(self):
-        with pytest.raises(ValueError, match="num_blocks and block_size must be >= 1"):
-            zipf_block_trace(10, 0, num_blocks=0)
+        # each count is checked by the one integer rule, num_blocks first
+        with pytest.raises(ValueError, match="^num_blocks must be >= 1, got 0$"):
+            zipf_block_trace(10, 0, num_blocks=0, block_size=0)
+        with pytest.raises(ValueError, match="^block_size must be >= 1, got 0$"):
+            zipf_block_trace(10, 0, block_size=0)
 
     def test_rejects_oversized_footprint(self):
         with pytest.raises(ValueError, match="footprint"):
@@ -158,19 +161,27 @@ class TestSlices:
         slice_length=st.integers(1, 70),
         length=st.integers(1, 300),
         seed=st.integers(0, 2**64),
+        # up to and beyond 2**64, so that the walk wraps, across slice boundaries too
+        stride=st.integers(1, 2**66),
+        base=st.integers(0, 2**66),
     )
     @settings(max_examples=300, deadline=None)
-    def test_the_joined_slices_are_the_trace(self, kind, address_bits, slice_length, length, seed):
-        keywords = dict(self.KEYWORDS, address_bits=address_bits)
+    def test_the_joined_slices_are_the_trace(self, kind, address_bits, slice_length, length, seed,
+                                             stride, base):
+        keywords = dict(self.KEYWORDS, address_bits=address_bits, stride=stride, base=base)
         slices = list(traces._trace_slices(slice_length, kind, length, seed, **keywords))
         assert [part.size for part in slices] == [
             min(slice_length, length - lo) for lo in range(0, length, slice_length)
         ]
         assert np.array_equal(np.concatenate(slices), generate_trace(kind, length, seed, **keywords))
+        if kind == "stride":  # the walk in Python integers, which never wrap
+            assert np.concatenate(slices).tolist() == [
+                (base + i * stride) % (1 << address_bits) for i in range(length)
+            ]
 
     @pytest.mark.parametrize("kind", traces.TRACE_KINDS)
     def test_a_trace_one_past_the_engine_slice(self, kind):
-        length, size = (1 << 18) + 1, 1 << 18
+        length, size = sim._TRACE_CHUNK + 1, sim._TRACE_CHUNK
         slices = list(traces._trace_slices(size, kind, length, 3, address_bits=40, **self.KEYWORDS))
         assert [part.size for part in slices] == [size, 1]
         assert np.array_equal(np.concatenate(slices), generate_trace(kind, length, 3, **self.KEYWORDS))
