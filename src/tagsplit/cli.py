@@ -13,12 +13,16 @@ command checks everything before it opens its output file, and every
 command but gen-trace, which draws each slice as it writes it, computes
 everything before it too, so a command that fails leaves no output and
 an existing file untouched; only an I/O error while writing, or
-gen-trace running out of memory for a slice, can leave a partial file.  Output rows are sorted by (cache_size,
-associativity, address_bits, k).  CSV cells, and every "name: value"
-line of the analyze/simulate reports, print floats with 17 significant
-digits, and JSON lines writes their shortest round-trip repr, so
-identical invocations produce byte-identical files.  A simulate report
-line named like an --out column prints that column's CSV cell.
+gen-trace running out of memory for a slice, can leave a partial file.
+Output rows are sorted by (cache_size, associativity, address_bits, k).
+CSV cells, and every "name: value" line of the analyze/simulate
+reports, print floats with 17 significant digits, and JSON lines writes
+their shortest round-trip repr, so identical invocations produce
+byte-identical files.  A simulate report line named like an --out
+column prints that column's CSV cell.
+
+numpy loads on first use (traces.np): simulate, gen-trace and sweep
+--simulate run it, and analyze, curves and an analytic sweep never do.
 
 simulate --gen and gen-trace take their trace from one _generated,
 which checks the generator flags through traces._trace_slices and

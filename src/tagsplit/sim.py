@@ -55,10 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .model import CacheConfig, _splitting_point
-from .traces import as_addresses
+from .traces import as_addresses, np
 
 __all__ = [
     "SimStats",

@@ -19,11 +19,11 @@ unsigned 64-bit words.
 
 from __future__ import annotations
 
+import importlib.util
 import operator
 import os
 import re
-
-import numpy as np
+import sys
 
 from .model import _check_int, _check_real
 
@@ -43,7 +43,32 @@ __all__ = [
 
 TRACE_KINDS = ("uniform", "stride", "zipf-block")
 
-_WORD = np.dtype("<u8")
+
+def _lazy_numpy():
+    """numpy as sys.modules holds it, else bound now and run on its first
+    attribute access (importlib.util.LazyLoader).
+
+    So only the simulator and the trace functions, which use it, pay for
+    numpy's import, not the analytic commands.  A missing or hidden numpy
+    is still refused here, when the package is imported.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None:
+        return np
+    spec = importlib.util.find_spec("numpy")  # None also when sys.modules hides it
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(np)
+    return np
+
+
+# the one binding of numpy in the package; sim imports it from here
+np = _lazy_numpy()
+
+# a trace file's word: little-endian, unsigned, 8 bytes
+_WORD = "<u8"
 
 # bytes read per block by read_trace_text; addresses per block written by write_trace_text
 _TEXT_CHUNK = 1 << 16
@@ -54,7 +79,7 @@ _NIBBLE = bytes(
     int(c, 16) if c in "0123456789abcdefABCDEF" else 16 for c in map(chr, range(256))
 )
 # _LOW_BYTES[m] keeps the low m bytes of a word
-_LOW_BYTES = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
+_LOW_BYTES = [(1 << 8 * m) - 1 for m in range(9)]
 _ADDRESS = re.compile(rb"(?:0[xX])?([0-9a-fA-F]+)")
 
 
@@ -295,8 +320,9 @@ def _block_words(block: bytes, path, first_line: int) -> np.ndarray:
     # windows[i] is the big-endian word of the hex values of bytes i - 16 .. i - 9
     padded = bytes(16) + block.translate(_NIBBLE)
     windows = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
-    high = windows[ends].astype(np.uint64) & _LOW_BYTES[np.clip(digits - 8, 0, 8)]
-    low = windows[ends + 8].astype(np.uint64) & _LOW_BYTES[np.clip(digits, 0, 8)]
+    low_bytes = np.array(_LOW_BYTES, dtype=np.uint64)
+    high = windows[ends].astype(np.uint64) & low_bytes[np.clip(digits - 8, 0, 8)]
+    low = windows[ends + 8].astype(np.uint64) & low_bytes[np.clip(digits, 0, 8)]
     # a hex digit's value has no high nibble; 16 marks any other byte
     fast = (((high | low) & 0xF0F0F0F0F0F0F0F0) == 0) & (digits >= 1) & (digits <= 16)
     words = (_pack_nibbles(high) << 32) | _pack_nibbles(low)
@@ -349,11 +375,9 @@ def read_trace_binary(path) -> np.ndarray:
         size = os.fstat(fh.fileno()).st_size
         if not size:
             raise TraceParseError(f"{path}: empty trace file")
-        if size % _WORD.itemsize:
-            raise TraceParseError(
-                f"{path}: size {size} is not a multiple of {_WORD.itemsize} bytes"
-            )
-        trace = np.empty(size // _WORD.itemsize, dtype=_WORD)
+        if size % 8:
+            raise TraceParseError(f"{path}: size {size} is not a multiple of 8 bytes")
+        trace = np.empty(size // 8, dtype=_WORD)
         read = fh.readinto(trace)
     if read != size:
         raise TraceParseError(f"{path}: read {read} of {size} bytes; the file shrank while read")
