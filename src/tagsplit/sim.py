@@ -22,13 +22,15 @@ order, at a cursor the round advances.  The state is ways-major,
 to update) is an elementwise pass over ``ways`` contiguous rows, and the
 rounds hold each way's stamp as the code ``stamp << log2(ways) | way``,
 so one min over a set's codes finds its LRU way.
-Each round adds its hits and its survivor counts to two running
-counters; only ``trace_outcomes`` keeps a per-access hit array.  A run
-that starts with no empty way skips the rounds' empty-way mask, which
-is exact, as no access empties a way.
+Each round, and each step of the scalar tail below, writes an access's
+outcome, ``2 * survivors + hit``, into the slot it read the access
+from, and each fold tallies those outcomes once; ``run_trace`` and
+``trace_outcomes`` differ only in that the latter maps the hits back
+to trace order.  A run that starts with no empty way skips the rounds'
+empty-way mask, which is exact, as no access empties a way.
 A trace longer than ``_TRACE_CHUNK`` accesses is folded in consecutive
 slices of that length, each from the state the one before it left, and
-their counters are added up.  Sets are independent, so this is exact:
+their tallies are added up.  Sets are independent, so this is exact:
 the counters, outcomes, tags and LRU order are those of one fold over
 the whole trace, and only the raw stamp values can differ.
 Within a slice, the sets it touches, busiest first, go in blocks of at
@@ -173,11 +175,14 @@ def _run(state: CacheState, trace, outcomes: list[bool] | None) -> SimStats:
     Consecutive slices of at most _TRACE_CHUNK accesses each take one
     _fold, which starts from the state the slice before it left, so the
     counters, outcomes, tags and LRU order are those of one fold of the
-    whole trace; only the stamp values can differ.  The trace is checked
-    once, and both bounds below are checked for the whole trace before
-    the first slice changes the state: the first slice is the longest,
-    so its sort keys are the widest, and a slice takes at most one stamp
-    per access, so no later slice's stamps go past ``clock + accesses``.
+    whole trace; only the stamp values can differ.  The folds add to one
+    tally of outcomes ``2 * survivors + hit``: the survivor histogram is
+    the sum of each even bin and the odd bin above it, and the hits are
+    the sum of the odd bins.  The trace is checked once, and both bounds
+    below are checked for the whole trace before the first slice changes
+    the state: the first slice is the longest, so its sort keys are the
+    widest, and a slice takes at most one stamp per access, so no later
+    slice's stamps go past ``clock + accesses``.
     """
     config = state.config
     addresses = as_addresses(trace, config.address_bits)  # refused before the state changes
@@ -192,12 +197,12 @@ def _run(state: CacheState, trace, outcomes: list[bool] | None) -> SimStats:
     last = state._clock + accesses  # no slice takes more stamps than it has accesses
     if last << shift > np.iinfo(np.int64).max:
         raise ValueError(f"LRU stamps up to {last} do not fit in int64 beside {shift} way bits")
-    # float64 weighted bins are exact integers: no trace has 2**53 accesses
-    histogram = np.zeros(ways + 1)
-    hits = 0
+    # tally[2 * s + hit], weighted; float64 bins are exact: no trace has 2**53 accesses
+    tally = np.zeros(2 * (ways + 1))
     for lo in range(0, accesses, _TRACE_CHUNK):
-        hits += _fold(state, addresses[lo:lo + _TRACE_CHUNK], histogram, outcomes)
-    histogram = histogram.astype(np.int64).tolist()
+        _fold(state, addresses[lo:lo + _TRACE_CHUNK], tally, outcomes)
+    hits = int(tally[1::2].sum())
+    histogram = (tally[::2] + tally[1::2]).astype(np.int64).tolist()
     tag_bits = config.tag_bits
     stats = SimStats(
         ways=ways,
@@ -212,14 +217,14 @@ def _run(state: CacheState, trace, outcomes: list[bool] | None) -> SimStats:
     return stats
 
 
-def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
-          outcomes: list[bool] | None) -> int:
-    """Run one checked slice of a trace set-parallel; the number of its hits.
+def _fold(state: CacheState, addresses: np.ndarray, tally: np.ndarray,
+          outcomes: list[bool] | None) -> None:
+    """Run one checked slice of a trace set-parallel, adding its outcomes to ``tally``.
 
-    Each access's survivor count is added to ``histogram``, and when
-    ``outcomes`` is not None, the slice's hits are appended to it in
-    trace order.  The caller has checked the sort keys' width and the
-    stamps (see _run).
+    Each access's outcome ``2 * survivors + hit`` is counted in
+    ``tally``, and when ``outcomes`` is not None, the slice's hits are
+    appended to it in trace order.  The caller has checked the sort
+    keys' width and the stamps (see _run).
 
     The slice moves once: keys ``set << position_bits | position`` are
     sorted in place, then each is replaced by its access's block number;
@@ -260,13 +265,19 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
     way when there is one and the LRU way otherwise; the picked way then
     takes the new stamp's code.
 
-    Each round adds its hit count and the weighted bincount of its
-    survivor counts to two counters; ``hit`` is allocated and written
-    only when outcomes are asked for.  Empty ways carry negative codes
-    and are masked out of both comparisons.  When no gathered code is
-    negative the rounds skip that mask, exactly: no access empties a
-    way, and the one negative code a round writes, the hit way's, takes
-    the new stamp's code in the same round.
+    Once a round, or a step of the scalar tail, has read an access from
+    ``request``, it writes the access's outcome ``2 * survivors + hit``
+    into the same slot, so after the block loop ``request`` holds every
+    kept access's outcome.  One bincount, weighted by the accesses each
+    kept one stands for, adds them to ``tally``: the folded accesses are
+    counted with the hit they repeat.  ``trace_outcomes`` maps the odd
+    outcomes back to trace order.  A round takes an access's hit from
+    its ways, not from the sign of the least code, which is negative for
+    an empty way too.  Empty ways carry negative codes and are masked
+    out of both comparisons.  When no gathered code is negative the
+    rounds skip that mask, exactly: no access empties a way, and the one
+    negative code a round writes, the hit way's, takes the new stamp's
+    code in the same round.
     """
     config = state.config
     sets, ways, accesses = config.sets, config.associativity, addresses.size
@@ -316,10 +327,8 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
     clock = state._clock
     way_column = np.arange(ways, dtype=np.int64)[:, None]
     hit_codes = way_column + np.iinfo(np.int64).min  # below every stamp code, in way order
-    hit = np.empty(request.size, dtype=bool) if want_outcomes else None
-    hits = 0  # of the kept accesses
     prefix_mask = (1 << min(state.k, 64)) - 1  # exact: every tag is below 2**64
-    survivor_type = np.min_scalar_type(ways)
+    outcome_type = np.min_scalar_type(2 * ways + 1)
     block = max(1, _BLOCK_SLOTS // ways)  # rows per block
     for lo in range(0, order.size, block):
         rows, at = order[lo:lo + block], starts[lo:lo + block]  # at advances in place below
@@ -348,11 +357,10 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
                 valid = c >= 0
                 same &= valid
                 match &= valid
-            hits += int(np.count_nonzero(same))  # a set holds each tag at most once
-            survivors = np.add.reduce(match, axis=0, dtype=survivor_type)
-            histogram += np.bincount(survivors, None if weight is None else weight[now], ways + 1)
-            if want_outcomes:
-                hit[now] = same.any(axis=0)
+            outcome = np.add.reduce(match, axis=0, dtype=outcome_type)
+            outcome <<= 1
+            outcome |= same.any(axis=0)  # not code < 0 below: empty ways' codes are negative
+            request[now] = outcome.astype(np.uint64)  # q holds the accesses' tags
             np.copyto(c, hit_codes, where=same)  # the hit way's code is replaced below
             code = np.minimum.reduce(c, axis=0)
             code &= ways - 1  # the hit way, else the LRU way
@@ -368,57 +376,50 @@ def _fold(state: CacheState, addresses: np.ndarray, histogram: np.ndarray,
             # active never rises, so row i has as many kept accesses as rounds with active > i
             tail = active[r]
             ends = at[:tail] + np.searchsorted(-active, -np.arange(tail)) - r
-            hits += _scalar_tail(tags.T, codes.T, request, weight, hit, histogram,
-                                 zip(at[:tail].tolist(), ends.tolist()), clock + r, prefix_mask)
+            _scalar_tail(tags.T, codes.T, request, zip(at[:tail].tolist(), ends.tolist()),
+                         clock + r, prefix_mask)
         state._tags[:, rows] = tags
         state._ages[:, rows] = codes
     state._clock = clock + busy.size  # the first block's rounds, the most of any
-    hits += accesses - request.size  # every folded access hits
+    # weight: each kept access and those folded into it, which hit as it does
+    tally += np.bincount(request.view(np.int64), weight, tally.size)
     if want_outcomes:
         in_order = np.ones(accesses, dtype=bool)  # folded accesses hit
-        in_order[by_set] = hit
+        in_order[by_set] = np.bitwise_and(request, 1, out=request)  # the hits
         outcomes += in_order.tolist()
-    return hits
 
 
-def _scalar_tail(tags, ages, request, weight, hit, histogram, spans, first_stamp,
-                 prefix_mask) -> int:
+def _scalar_tail(tags, ages, request, spans, first_stamp, prefix_mask) -> None:
     """Finish the remaining sets one at a time, one access at a time on list rows.
 
     Row i's remaining accesses are ``request[lo:hi]`` for the i-th
     ``(lo, hi)`` of ``spans``; the j-th of them takes the stamp
     ``first_stamp + j``, the one the j-th remaining round would give it.
     Empty ways hold None in place of a tag and a prefix, so list.count
-    and ``in`` compare only valid ways.  Each row's survivor counts are
-    added, weighted as the rounds weight theirs, to ``histogram``, and
-    its hits are written to ``hit`` when that is not None; the number of
-    hits is returned.
+    and ``in`` compare only valid ways.  Each access's outcome
+    ``2 * survivors + hit`` is written over it in ``request``, as the
+    rounds write theirs.
     """
-    found = 0
     for row, (lo, hi) in enumerate(spans):
         row_ages = ages[row].tolist()
         row_tags = [tag if age >= 0 else None for tag, age in zip(tags[row].tolist(), row_ages)]
         row_prefixes = [None if t is None else t & prefix_mask for t in row_tags]
-        hits, counts = [], []
+        outcomes = []
         for stamp, req in enumerate(request[lo:hi].tolist(), start=first_stamp):
             prefix = req & prefix_mask
-            counts.append(row_prefixes.count(prefix))
+            outcome = 2 * row_prefixes.count(prefix)
             if req in row_tags:
-                hits.append(True)
+                outcome += 1
                 way = row_tags.index(req)
             else:
-                hits.append(False)
                 way = row_ages.index(min(row_ages))
                 row_tags[way] = req
                 row_prefixes[way] = prefix
             row_ages[way] = stamp
-        found += hits.count(True)
-        if hit is not None:
-            hit[lo:hi] = hits
-        histogram += np.bincount(counts, None if weight is None else weight[lo:hi], histogram.size)
+            outcomes.append(outcome)
+        request[lo:hi] = outcomes
         tags[row] = [0 if t is None else t for t in row_tags]
         ages[row] = row_ages
-    return found
 
 
 def run_trace(state: CacheState, trace) -> SimStats:

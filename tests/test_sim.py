@@ -357,6 +357,9 @@ DIFFERENTIAL_CONFIGS = (
     CacheConfig(cache_size=128 * 1024, block_size=64, associativity=16, address_bits=16),
     # 8 sets of 64 ways, 7 tag bits: hits, and evictions from a warm cache
     CacheConfig(cache_size=32 * 1024, block_size=64, associativity=64, address_bits=16),
+    # 64 sets of 128 ways, 10 tag bits: a warm set at k = 0 has 128 survivors,
+    # more than a round's outcome 2 * survivors + hit holds in a byte
+    CacheConfig(cache_size=512 * 1024, block_size=64, associativity=128, address_bits=22),
 )
 
 
