@@ -75,7 +75,7 @@ class SweepRow:
     block_size: int
     tag_bits: int
     k: int
-    first_step_bits: float
+    first_step_bits: int
     expected_second_step_bits: float
     total_bits: float
     reduction_ratio: float

@@ -164,7 +164,7 @@ class SplitEval:
     """Expected per-access tag-read cost at one splitting point."""
 
     k: int
-    first_step_bits: float
+    first_step_bits: int
     expected_second_step_bits: float
     total_bits: float
     reduction_ratio: float

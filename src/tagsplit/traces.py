@@ -70,7 +70,8 @@ np = _lazy_numpy()
 # a trace file's word: little-endian, unsigned, 8 bytes
 _WORD = "<u8"
 
-# bytes read per block by read_trace_text; addresses per block written by write_trace_text
+# characters per read of read_trace_text (a block is one read plus the rest
+# of its last line); addresses per block written by write_trace_text
 _TEXT_CHUNK = 1 << 16
 
 # translation table from a byte to its hex value; 16 marks a byte that is
@@ -260,21 +261,14 @@ def _line_blocks(fh):
     """The bytes of fh, a latin-1 text stream with universal newlines, in
     blocks of whole lines, each ending in b"\\n".
 
-    A block is one read of _TEXT_CHUNK characters up to its last line
-    end, after the unfinished line the reads before it carried over.
+    A block is one read of _TEXT_CHUNK characters plus the rest of the
+    line that read stops in, so nothing is kept from one block to the next.
     """
-    tail = []  # the unfinished line, in the pieces read so far
-    while chunk := fh.read(_TEXT_CHUNK).encode("latin-1"):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            tail.append(chunk[:cut])
-            yield b"".join(tail)
-            tail = [chunk[cut:]]
-        else:
-            tail.append(chunk)
-    last = b"".join(tail)
-    if last:
-        yield last + b"\n"
+    while chunk := fh.read(_TEXT_CHUNK):
+        chunk += fh.readline()
+        if not chunk.endswith("\n"):  # the file's last line
+            chunk += "\n"
+        yield chunk.encode("latin-1")
 
 
 def _parse_line(raw: bytes, path, lineno: int):
@@ -339,14 +333,15 @@ def _block_words(block: bytes, path, first_line: int) -> np.ndarray:
 def read_trace_text(path) -> np.ndarray:
     """The addresses of a text trace (see README "Text traces").
 
-    The file is read twice in blocks of _TEXT_CHUNK characters: once to
-    count its lines, which sizes the result array, and once to decode
-    each block's addresses into it.  The array is then trimmed to the
-    addresses found, so the peak is the result, 8 bytes per address,
-    and one block's decoding arrays beside it, about 0.85 MiB for lines
-    of 11 characters (tracemalloc: 8.9 bytes per address at 10^6 lines,
-    53 at 20k).  Shorter lines put more addresses in a block: 1.7 MiB on
-    the benchmark's 250k-line zipf trace, 14.9 bytes per address.
+    The file is read twice: once in reads of _TEXT_CHUNK characters to
+    count its lines, which sizes the result array, and once in blocks
+    from _line_blocks, decoding each block's addresses into it.  The
+    array is then trimmed to the addresses found, so the peak is the
+    result, 8 bytes per address, and one block's decoding arrays beside
+    it, about 0.7 MiB for lines of 11 characters (tracemalloc: 8.7 bytes
+    per address at 10^6 lines, 44 at 20k).  Shorter lines put more
+    addresses in a block: 1.5 MiB on the benchmark's 250k-line zipf
+    trace, 14.2 bytes per address.
     Malformed input raises TraceParseError naming the path and line.
     """
     # latin-1 reads every byte as one character; \r\n and a lone \r end a line too

@@ -354,6 +354,8 @@ class TestSweep:
         assert len(rows) == 32
         assert {row.k_min for row in rows} <= {3, 4}
         assert all(row.sim_bits_per_access is None for row in rows)
+        # k * ways, written as 24, not 24.0, reads back as the int the sweep holds
+        assert {type(row.first_step_bits) for row in rows} == {int}
 
     def test_read_back_catches_tampering(self, tmp_path):
         out = self.run(tmp_path)

@@ -255,14 +255,14 @@ class TestTextFormat:
     @pytest.mark.parametrize(
         "kind,length,bound",
         # where keeping every block until a join read 16.1 and 16.2
-        [("uniform", 1_000_000, 9), ("zipf-block", 250_000, 16)],
+        [("uniform", 1_000_000, 9), ("zipf-block", 250_000, 14.5)],
     )
     def test_peak_memory_is_the_result_and_one_block(self, tmp_path, kind, length, bound):
         # Each block decodes into the result, sized by a first pass that
         # counts the lines, so no second copy is held: 8 bytes per address
-        # plus one block's decoding arrays, about 0.85 MiB at 11 characters
-        # a line (8.9 in all at 10^6 lines) and 1.7 MiB for the zipf
-        # trace's shorter lines (14.9 in all).
+        # plus one block's decoding arrays, about 0.7 MiB at 11 characters
+        # a line (8.7 in all at 10^6 lines) and 1.5 MiB for the zipf
+        # trace's shorter lines (14.2 in all).
         trace = generate_trace(kind, length, seed=1 if kind == "uniform" else 0,
                                num_blocks=1 << 20)
         path = tmp_path / "t.trace"
