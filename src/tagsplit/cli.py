@@ -308,8 +308,9 @@ def _k_ranges(k_range: tuple[int, int], tag_lengths) -> dict[int, range]:
     return {n: range(low, min(high, n) + 1) for n in tag_lengths}
 
 
-def _config_cells(config: CacheConfig, names) -> dict:
-    return {name: getattr(config, name) for name in names}
+def _cells(record, names) -> dict:
+    """The named attributes of any record (a config, an optimum, a split, counters)."""
+    return {name: getattr(record, name) for name in names}
 
 
 def _split_runs(tag_bits: int, ways: int, ks: range, params) -> dict:
@@ -325,7 +326,7 @@ def _split_runs(tag_bits: int, ways: int, ks: range, params) -> dict:
     # tag too short to have an optimum
     run = split_columns(tag_bits, ways, ks)
     opt = k_min_integer(tag_bits, ways)
-    run.update(zip(_TAIL_COLUMNS[5:8], (opt.k_optimal, opt.k_min, opt.is_round_of_continuous)))
+    run.update(_cells(opt, _TAIL_COLUMNS[5:8]))
     run.update(dict.fromkeys(_TAIL_COLUMNS[8:]))
     if params is not None:
         costs = ratio_columns(run["total_bits"], baseline_bits(tag_bits, ways), 1, params)
@@ -467,7 +468,7 @@ def read_sweep_csv(path) -> list[SweepRow]:
             # the row's own cells: a one-row run's columns hold one cell each
             tail = {name: value[0] if isinstance(value, list) else value for name, value in run.items()}
             total = tail["total_bits"]
-            derived = {**_config_cells(config, _POINT_COLUMNS), **tail,
+            derived = {**_cells(config, _POINT_COLUMNS), **tail,
                        **_sim_cells(row.sim_bits_per_access, total)}
             del derived["energy_ratio"]
             if row.energy_ratio is not None:
@@ -502,14 +503,10 @@ def cmd_analyze(args) -> int:
     opt = k_min_integer(config.tag_bits, config.associativity)
     ev = expected_reads(config.tag_bits, config.associativity, k)
     _print_report({
-        **_config_cells(config, _GEOMETRY_CELLS),
+        **_cells(config, _GEOMETRY_CELLS),
         "baseline_bits_per_access": baseline_bits(config.tag_bits, config.associativity),
-        "k_optimal": opt.k_optimal,
-        "k_min": opt.k_min,
-        "is_round_of_continuous": opt.is_round_of_continuous,
-        "k": ev.k,
-        "first_step_bits": ev.first_step_bits,
-        "expected_second_step_bits": ev.expected_second_step_bits,
+        **_cells(opt, _TAIL_COLUMNS[5:8]),
+        **_cells(ev, _TAIL_COLUMNS[:3]),
         "expected_total_bits": ev.total_bits,
         "reduction_ratio": ev.reduction_ratio,
         "read_reduction_percent": (1.0 - ev.reduction_ratio) * 100.0,
@@ -572,16 +569,10 @@ def cmd_simulate(args) -> int:
     base = baseline_bits(config.tag_bits, config.associativity)
     observed, relative_error = _sim_cells(stats.bits_per_access, ev.total_bits).values()
     run = {
-        **_config_cells(config, _GEOMETRY_CELLS),
+        **_cells(config, _GEOMETRY_CELLS),
         "k": k,
         "warmed": bool(args.warm),
-        "accesses": stats.accesses,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "step1_bit_reads": stats.step1_bit_reads,
-        "step2_bit_reads": stats.step2_bit_reads,
-        "total_bit_reads": stats.total_bit_reads,
-        "bits_per_access": observed,
+        **_cells(stats, SIM_COLUMNS[6:13]),
         "analytic_bits_per_access": ev.total_bits,
         "relative_error": relative_error,
         "baseline_bits_per_access": base,
@@ -636,10 +627,10 @@ def _curve_run(config: CacheConfig, ks: range) -> dict:
     n, assoc = config.tag_bits, config.associativity
     base = baseline_bits(n, assoc)
     split = split_columns(n, assoc, ks)
-    steps = (split[name] for name in ("first_step_bits", "expected_second_step_bits", "total_bits"))
+    steps = (split[name] for name in _TAIL_COLUMNS[1:4])
     return {
         "config_id": f"{format_size(config.cache_size)}-{assoc}w-{config.address_bits}b",
-        **_config_cells(config, _POINT_COLUMNS),
+        **_cells(config, _POINT_COLUMNS),
         "k": split["k"],
         **{name: [bits / base for bits in step] for name, step in zip(CURVE_COLUMNS[7:], steps)},
     }

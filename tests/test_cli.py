@@ -17,7 +17,9 @@ from hypothesis import given, strategies as st
 
 from tagsplit import cli
 from tagsplit.costs import load_params, mttf_from_bits
+from tagsplit.model import CacheConfig
 from tagsplit.optimum import k_min_integer
+from tagsplit.sim import CacheState, run_trace, warm_fill
 from tagsplit.traces import generate_trace, read_trace_binary, read_trace_text
 from tagsplit.cli import (
     CURVE_COLUMNS,
@@ -317,6 +319,27 @@ class TestAnalyze:
         code = main(["analyze", "--size", "8M", "--assoc", "1", "--addr-bits", "16"])
         assert code == 2
         assert "tag length not positive" in capsys.readouterr().err
+
+    # 1M, 8 ways, 40 address bits: 23 tag bits; None is the default, the optimum
+    @pytest.mark.parametrize("k", [0, None, 23])
+    def test_each_line_named_like_a_sweep_column_prints_the_sweep_rows_cell(
+        self, k, tmp_path, capsys
+    ):
+        flags = [] if k is None else ["--k", str(k)]
+        assert main(["analyze", "--size", "1M", "--assoc", "8", "--addr-bits", "40", *flags]) == 0
+        report = report_dict(capsys.readouterr().out)
+        split = k_min_integer(23, 8).k_min if k is None else k
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sizes", "1M", "--assocs", "8", "--addr-bits", "40",
+                     "--k-range", f"{split}:{split}", "--out", str(out)]) == 0
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        shared = set(report) & set(SWEEP_COLUMNS)
+        # every analytic column but total_bits, which analyze names expected_total_bits
+        assert shared == set(SWEEP_COLUMNS[:13]) - {"total_bits"}
+        assert {name: report[name] for name in shared} == {name: row[name] for name in shared}
+        assert report["expected_total_bits"] == row["total_bits"]
+        assert report["k"] == str(split)
 
 
 class TestSweep:
@@ -795,6 +818,30 @@ class TestSimulate:
         assert float(report["normalized_reads"]) < 0.5
         assert "survivor_histogram:" in out
         assert "single-step comparison" in out
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_counter_lines_print_the_counters_of_run_trace(self, warm, tmp_path, capsys):
+        trace_path = tmp_path / "t.trace"
+        assert main(["gen-trace", "--kind", "zipf-block", "--length", "3000", "--addr-bits", "32",
+                     "--num-blocks", "4096", "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        flags = ["--warm"] if warm else []
+        assert main(["simulate", *self.CONFIG, "--k", "3", "--trace", str(trace_path), *flags]) == 0
+        report = report_dict(capsys.readouterr().out)
+        state = CacheState(CacheConfig(32, 64 * 1024, 64, 8), 3)
+        if warm:
+            warm_fill(state)
+        stats = run_trace(state, read_trace_text(trace_path))
+        counters = ("accesses", "hits", "misses", "step1_bit_reads", "step2_bit_reads",
+                    "total_bit_reads", "bits_per_access")
+        assert {name: report[name] for name in counters} == {
+            name: format_value(getattr(stats, name)) for name in counters
+        }
+        assert report["warmed"] == format_value(warm)
+        histogram = dict(pair.split(":") for pair in report["survivor_histogram"].split())
+        assert histogram == {
+            str(s): str(count) for s, count in enumerate(stats.matched_way_histogram) if count
+        }
 
     def test_trace_file_round_trip(self, tmp_path, capsys):
         trace_path = tmp_path / "t.trace"
