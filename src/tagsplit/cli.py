@@ -33,10 +33,14 @@ file, and the one trace per address width that every sweep --simulate
 row reuses (generate_trace), are held whole.
 
 Every output file is written through one encoder per format
-(_encoder), which turns rows to text a column at a time.  A sweep
+(_encoder), which turns rows to text a column at a time and holds a
+run's rows as one ASCII bytes object, a byte that ASCII never holds
+(_BREAK) between each two, with their count carried beside it; a
+non-ASCII cell is refused there, before the file is opened.  A sweep
 encodes each (tag_bits, associativity) pair's rows once: the cells
 that all its splitting points share are encoded once, into the
-template its rows fill.
+template its rows fill.  Each block of rows takes one write, its
+breaks replaced by the line ends and starts in one bytes.replace.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 from .costs import load_params, mttf_from_bits, ratio_columns, ratios_from_bits, reliability, tag_energy
 from .model import CacheConfig, baseline_bits, expected_reads, split_columns
@@ -216,23 +220,36 @@ def _texts(column: list, cell, float_text):
     return map(cell, column)
 
 
+# the byte between two rows of an encoded run; ASCII never holds it, so no
+# cell can split a row
+_BREAK = b"\xff"
+
+
 def _encoder(output_format: str):
-    """encode(run) -> the text of each row of run, in output_format.
+    """encode(run) -> (rows, count): the count rows of run in output_format,
+    as ASCII bytes with one _BREAK between each two.
 
     A run maps consecutive columns to a list of one cell per row, or to
     one cell that every row shares; it holds at least one list.  The
     shared cells are encoded once, into a %s template of the run's
-    labels that each row fills with its texts, a column at a time.
+    labels that each row fills with its texts, a column at a time.  A
+    row that is not ASCII (a CSV text cell; JSON escapes it) is refused
+    with a ValueError that names it.
     """
     cell, float_text, label, between = _FORMATS[output_format][:4]
 
-    def encode(run: dict) -> list[str]:
+    def encode(run: dict) -> tuple[bytes, int]:
         template = between.join(
             label.format(name) + ("%s" if isinstance(value, list) else cell(value).replace("%", "%%"))
             for name, value in run.items()
         )
         columns = (_texts(value, cell, float_text) for value in run.values() if isinstance(value, list))
-        return list(map(template.__mod__, zip(*columns)))
+        rows = list(map(template.__mod__, zip(*columns)))
+        refused = next(filterfalse(str.isascii, rows), None)
+        if refused is not None:
+            raise ValueError(f"a row holds a cell that is not ASCII: {refused!r}")
+        # every row is ASCII, so the joined breaks are its only other byte
+        return _BREAK.decode("latin-1").join(rows).encode("latin-1"), len(rows)
 
     return encode
 
@@ -241,25 +258,27 @@ def _write_lines(path, columns, output_format: str, encoded_blocks) -> int:
     """Stream blocks of rows to path, after a header line for CSV; returns the row count.
 
     encoded_blocks(encode) returns the blocks, encode being the format's
-    _encoder.  A block is a pair (head, tails) of texts of consecutive
-    columns.  Each tail ends one row of the block, and every row starts
-    with the head, which is "" when the tails cover all columns.  A block
-    holds at least one row and takes one write.  encoded_blocks is
-    called before path is opened and makes every check, so an error it
-    raises leaves no file behind; its blocks are then only written.
+    _encoder.  A block is a pair (head, (tails, count)) of ASCII bytes of
+    consecutive columns: tails, as encode returns it, ends the block's
+    count rows, and every row starts with the head, which is b"" when the
+    tails cover all columns.  A block holds at least one row and takes one
+    write, its breaks replaced in one bytes.replace; the count is carried,
+    not counted.  encoded_blocks is called before path is opened and makes
+    every check, so an error it raises leaves no file behind; its blocks
+    are then only written.
     """
     if output_format not in _FORMATS:
         raise ValueError(f"unknown output format {output_format!r}")
-    *_, between, prefix, suffix = _FORMATS[output_format]
+    between, prefix, suffix = (text.encode("ascii") for text in _FORMATS[output_format][3:])
     blocks = encoded_blocks(_encoder(output_format))
     count = 0
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "wb") as fh:
         if output_format == "csv":
-            fh.write(",".join(columns) + "\n")
-        for head, tails in blocks:
+            fh.write(",".join(columns).encode("ascii") + b"\n")
+        for head, (tails, rows) in blocks:
             lead = prefix + head + between if head else prefix
-            fh.write(lead + (suffix + lead).join(tails) + suffix)
-            count += len(tails)
+            fh.write(lead + tails.replace(_BREAK, suffix + lead) + suffix)
+            count += rows
     return count
 
 
@@ -267,7 +286,7 @@ def write_rows(path, columns, rows: list[dict], output_format: str) -> int:
     """Write rows, dicts holding every column, to path; returns the row count."""
     run = {name: [row[name] for row in rows] for name in columns}
     return _write_lines(path, columns, output_format,
-                        lambda encode: [("", encode(run))] if rows else [])
+                        lambda encode: [(b"", encode(run))] if rows else [])
 
 
 def _grid_points(sizes, assocs, addr_bits, block: int):
@@ -343,9 +362,9 @@ def evaluate_sweep(args, encode, params=None):
     ratios).  The tails depend only on (tag_bits, associativity), so each
     pair is evaluated once, as columns over its splitting points
     (_split_runs); without args.simulate its tails are also encoded
-    once, column by column, and their texts shared by every grid point
-    with that pair.  The cost ratios are filled in when cost parameters
-    are given.
+    once, column by column, into one bytes object (see _encoder) that
+    every grid point with that pair shares.  The cost ratios are filled
+    in when cost parameters are given.
 
     args holds the parsed sweep flags.  Before this returns, the grid is
     validated, every pair evaluated and, with args.simulate, every trace
@@ -367,8 +386,8 @@ def evaluate_sweep(args, encode, params=None):
                   for addr in sorted(set(args.addr_bits))}
         blocks = [encode(_simulated_run(config, run, traces[config.address_bits]))
                   for config, run in zip(points, blocks)]
-    heads = encode({name: [getattr(config, name) for config in points] for name in _POINT_COLUMNS})
-    return zip(heads, blocks)
+    heads, _ = encode({name: [getattr(config, name) for config in points] for name in _POINT_COLUMNS})
+    return zip(heads.split(_BREAK), blocks)
 
 
 def _sim_cells(observed: float | None, total_bits: float) -> dict:
@@ -640,7 +659,7 @@ def cmd_curves(args) -> int:
     points = _grid_points((args.size,), args.assocs, (args.addr_bits,), args.block)
     ks = _k_ranges(args.k_range, {config.tag_bits for config in points})
     count = _write_lines(args.out, CURVE_COLUMNS, args.format, lambda encode: [
-        ("", encode(_curve_run(config, ks[config.tag_bits]))) for config in points])
+        (b"", encode(_curve_run(config, ks[config.tag_bits]))) for config in points])
     print(f"wrote {count} rows to {args.out}")
     return 0
 

@@ -209,6 +209,13 @@ class TestParsers:
             write_rows(tmp_path / "x", ("a",), [{"a": 1}], "xml")
         assert not (tmp_path / "x").exists()
 
+    def test_write_rows_refuses_a_non_ascii_cell_before_opening_the_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier bytes\n")
+        with pytest.raises(ValueError, match="not ASCII: '1,café'"):
+            write_rows(out, ("a", "b"), [{"a": "a", "b": 1}, {"a": 1, "b": "café"}], "csv")
+        assert out.read_bytes() == b"earlier bytes\n"
+
 
 STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
@@ -264,14 +271,26 @@ class TestCellEncoder:
 
     @given(column=COLUMNS, shared=CELLS)
     def test_a_run_matches_the_reference(self, column, shared):
-        # a shared cell is encoded once into the row template, a % in it too
+        # a shared cell is encoded once into the row template, a % in it too;
+        # the rows come as ASCII bytes, a break between each two, with their
+        # count, and a run with a row that is not ASCII is refused
         run = {"a": column, "b": shared, "c": "%d%%", "d": column}
         rows = [(a, shared, "%d%%", a) for a in column]
-        assert cli._encoder("csv")(run) == [",".join(map(format_value, row)) for row in rows]
-        assert cli._encoder("json-lines")(run) == [
-            ", ".join(f'"{name}": {json_reference(value)}' for name, value in zip(run, row))
-            for row in rows
-        ]
+        references = {
+            "csv": [",".join(map(format_value, row)) for row in rows],
+            "json-lines": [
+                ", ".join(f'"{name}": {json_reference(value)}' for name, value in zip(run, row))
+                for row in rows
+            ],
+        }
+        for output_format, texts in references.items():
+            encode = cli._encoder(output_format)
+            if all(map(str.isascii, texts)):
+                encoded = cli._BREAK.join(text.encode("ascii") for text in texts)
+                assert encode(run) == (encoded, len(texts))
+            else:
+                with pytest.raises(ValueError, match="not ASCII"):
+                    encode(run)
 
     @pytest.mark.parametrize(
         "column",
@@ -712,6 +731,25 @@ class TestSweep:
         record = json.loads(lines[0])
         assert set(record) == set(SWEEP_COLUMNS)
         assert record["sim_bits_per_access"] is None
+
+    def test_an_analytic_sweep_holds_little_beyond_its_encoded_tails(self):
+        # each (tag_bits, ways) pair's rows are one bytes object; as a list of
+        # one str per row they held 1.24 times the bytes
+        args = cli.build_parser().parse_args([
+            "sweep", "--sizes", "32K,512K,8M", "--assocs", "1,4,16,64",
+            "--addr-bits", "40,48,56,64", "--k-range", "1:20", "--format", "json-lines",
+            "--out", "unused"])
+        encode = cli._encoder(args.format)
+        cli.evaluate_sweep(args, encode)  # fills the model's caches
+        tracemalloc.start()
+        try:
+            blocks = list(cli.evaluate_sweep(args, encode))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tails = {id(tails): tails for _, (tails, _) in blocks}.values()
+        assert len(blocks) == 3 * 4 * 4 and len(tails) < len(blocks)
+        assert held <= 1.10 * sum(map(len, tails))
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         code = main(self.ARGS + ["--out", str(tmp_path / "no-such-dir" / "x.csv")])
